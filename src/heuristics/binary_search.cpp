@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "core/evaluation.hpp"
+#include "heuristics/assignment_state.hpp"
 #include "support/check.hpp"
-#include "support/matrix.hpp"
 #include "support/stats.hpp"
 
 namespace mf::heuristics {
@@ -19,14 +19,21 @@ std::optional<core::Mapping> assign_within_period(const core::Problem& problem,
                                                   const MachineSelector& selector,
                                                   double period_bound) {
   AssignmentState state(problem);
-  std::vector<MachineIndex> order;
+  const SpecializationTracker& tracker = state.tracker();
+  const std::span<const double> loads = state.loads();
   for (TaskIndex i : problem.app.backward_order()) {
-    selector.order_machines(problem, state, i, order);
+    const std::span<const MachineIndex> order = selector.order_machines(i);
     MF_CHECK(order.size() == problem.machine_count(), "selector must order all machines");
+    const core::TypeIndex type = problem.app.type_of(i);
+    const double x_base = state.downstream_products(i);
+    const std::span<const double> attempts = problem.platform.attempts_row(i);
+    const std::span<const double> times = problem.platform.time_row(i);
     bool placed = false;
     for (MachineIndex u : order) {
-      if (!state.allowed(i, u)) continue;
-      if (state.load_if(i, u) > period_bound) continue;
+      if (!tracker.allowed(type, u)) continue;
+      // AssignmentState::load_if(i, u) with the per-task reads hoisted; the
+      // operand order is the same, so the doubles are bit-identical.
+      if (loads[u] + x_base * attempts[u] * times[u] > period_bound) continue;
       state.assign(i, u);
       placed = true;
       break;
@@ -62,85 +69,95 @@ std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem
   return best;
 }
 
-namespace {
+void RankSelector::prepare(const core::Problem& problem) {
+  const std::size_t n = problem.task_count();
+  const std::size_t m = problem.machine_count();
+  const core::Platform& platform = problem.platform;
+  machine_count_ = m;
 
-/// H2's machine preference: precomputed rank of each task in each machine's
-/// ascending-w column; prefer the machine where the task ranks best.
-class RankSelector final : public MachineSelector {
- public:
-  void prepare(const core::Problem& problem) override {
-    const std::size_t n = problem.task_count();
-    const std::size_t m = problem.machine_count();
-    ranks_ = support::Matrix(n, m);
-    std::vector<TaskIndex> by_time(n);
-    for (MachineIndex u = 0; u < m; ++u) {
-      std::iota(by_time.begin(), by_time.end(), TaskIndex{0});
-      std::stable_sort(by_time.begin(), by_time.end(), [&](TaskIndex a, TaskIndex b) {
-        return problem.platform.time(a, u) < problem.platform.time(b, u);
-      });
-      // Dense ranking: tasks with equal w share a rank, matching the
-      // paper's "rank of T_i in the ordered set" (sets collapse ties).
-      std::size_t rank = 0;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (k > 0 &&
-            problem.platform.time(by_time[k], u) > problem.platform.time(by_time[k - 1], u)) {
-          ++rank;
-        }
-        ranks_.at(by_time[k], u) = static_cast<double>(rank);
+  // Row classes: a task joins its type's first class when its w row equals
+  // that class's representative row (always, on a type-uniform platform);
+  // any other task opens a class of its own.
+  constexpr std::size_t kNoClass = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> class_of_type(problem.type_count(), kNoClass);
+  std::vector<TaskIndex> representatives;
+  class_of_.resize(n);
+  for (TaskIndex i = 0; i < n; ++i) {
+    std::size_t& hint = class_of_type[problem.app.type_of(i)];
+    if (hint != kNoClass &&
+        std::ranges::equal(platform.time_row(i), platform.time_row(representatives[hint]))) {
+      class_of_[i] = hint;
+      continue;
+    }
+    if (hint == kNoClass) hint = representatives.size();
+    class_of_[i] = representatives.size();
+    representatives.push_back(i);
+  }
+  const std::size_t k = representatives.size();
+
+  // Dense rank of each class in each machine's ascending-w column, matching
+  // the paper's "rank of T_i in the ordered set" (sets collapse ties). The
+  // representatives hold exactly the distinct w values of all tasks, so
+  // ranking them alone gives every task its rank over all tasks.
+  std::vector<std::size_t> ranks(k * m);
+  std::vector<std::size_t> by_time(k);
+  for (MachineIndex u = 0; u < m; ++u) {
+    std::iota(by_time.begin(), by_time.end(), std::size_t{0});
+    std::sort(by_time.begin(), by_time.end(), [&](std::size_t a, std::size_t b) {
+      return platform.time(representatives[a], u) < platform.time(representatives[b], u);
+    });
+    std::size_t rank = 0;
+    for (std::size_t r = 0; r < k; ++r) {
+      if (r > 0 && platform.time(representatives[by_time[r]], u) >
+                       platform.time(representatives[by_time[r - 1]], u)) {
+        ++rank;
       }
+      ranks[by_time[r] * m + u] = rank;
     }
   }
 
-  void order_machines(const core::Problem& problem, const AssignmentState& /*state*/,
-                      TaskIndex task, std::vector<MachineIndex>& order) const override {
-    order.resize(problem.machine_count());
+  // One order per class: best rank first; ties on rank go to smaller w
+  // ("machines are sorted by non-decreasing values of w"), then, by the
+  // stable sort, to the smaller index.
+  orders_.resize(k * m);
+  for (std::size_t c = 0; c < k; ++c) {
+    const std::span<MachineIndex> order(orders_.data() + c * m, m);
+    const std::span<const std::size_t> rank(ranks.data() + c * m, m);
+    const std::span<const double> times = platform.time_row(representatives[c]);
     std::iota(order.begin(), order.end(), MachineIndex{0});
     std::stable_sort(order.begin(), order.end(), [&](MachineIndex a, MachineIndex b) {
-      const double ra = ranks_.at(task, a);
-      const double rb = ranks_.at(task, b);
-      if (ra != rb) return ra < rb;
-      // Tie on rank: "machines are sorted by non-decreasing values of w".
-      return problem.platform.time(task, a) < problem.platform.time(task, b);
+      if (rank[a] != rank[b]) return rank[a] < rank[b];
+      return times[a] < times[b];
     });
   }
+}
 
- private:
-  support::Matrix ranks_;
-};
+std::span<const MachineIndex> RankSelector::order_machines(TaskIndex task) const {
+  return std::span<const MachineIndex>(orders_).subspan(class_of_[task] * machine_count_,
+                                                        machine_count_);
+}
 
-/// H3's machine preference: static order by decreasing heterogeneity
-/// (standard deviation of the machine's processing-time column).
-class HeterogeneitySelector final : public MachineSelector {
- public:
-  void prepare(const core::Problem& problem) override {
-    const std::size_t m = problem.machine_count();
-    heterogeneity_.assign(m, 0.0);
-    for (MachineIndex u = 0; u < m; ++u) {
-      support::RunningStats stats;
-      for (TaskIndex i = 0; i < problem.task_count(); ++i) {
-        stats.add(problem.platform.time(i, u));
-      }
-      heterogeneity_[u] = stats.stddev();
+void HeterogeneitySelector::prepare(const core::Problem& problem) {
+  const std::size_t m = problem.machine_count();
+  std::vector<double> heterogeneity(m, 0.0);
+  for (MachineIndex u = 0; u < m; ++u) {
+    support::RunningStats stats;
+    for (TaskIndex i = 0; i < problem.task_count(); ++i) {
+      stats.add(problem.platform.time(i, u));
     }
-    static_order_.resize(m);
-    std::iota(static_order_.begin(), static_order_.end(), MachineIndex{0});
-    std::stable_sort(static_order_.begin(), static_order_.end(),
-                     [this](MachineIndex a, MachineIndex b) {
-                       return heterogeneity_[a] > heterogeneity_[b];
-                     });
+    heterogeneity[u] = stats.stddev();
   }
+  static_order_.resize(m);
+  std::iota(static_order_.begin(), static_order_.end(), MachineIndex{0});
+  std::stable_sort(static_order_.begin(), static_order_.end(),
+                   [&](MachineIndex a, MachineIndex b) {
+                     return heterogeneity[a] > heterogeneity[b];
+                   });
+}
 
-  void order_machines(const core::Problem& /*problem*/, const AssignmentState& /*state*/,
-                      TaskIndex /*task*/, std::vector<MachineIndex>& order) const override {
-    order = static_order_;
-  }
-
- private:
-  std::vector<double> heterogeneity_;
-  std::vector<MachineIndex> static_order_;
-};
-
-}  // namespace
+std::span<const MachineIndex> HeterogeneitySelector::order_machines(TaskIndex /*task*/) const {
+  return static_order_;
+}
 
 std::optional<core::Mapping> H2BinarySearchRank::run(const core::Problem& problem,
                                                      support::Rng& /*rng*/) const {

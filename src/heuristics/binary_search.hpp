@@ -11,8 +11,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
-#include "heuristics/assignment_state.hpp"
+#include "core/types.hpp"
 #include "heuristics/heuristic.hpp"
 
 namespace mf::heuristics {
@@ -21,19 +23,54 @@ namespace mf::heuristics {
 /// walks the proposal order and takes the first machine that is
 /// type-feasible and keeps the load within the candidate period. Returning
 /// machines in preference order is what distinguishes H2 from H3.
+///
+/// A preference depends on the problem only, never on the loads of a pass,
+/// so selectors build every order once in `prepare()` and each bisection
+/// pass just walks them.
 class MachineSelector {
  public:
   virtual ~MachineSelector() = default;
 
-  /// Called once per problem before any assignment pass; precomputes
-  /// whatever the ordering needs (ranks for H2, heterogeneity for H3).
+  /// Called once per problem before any assignment pass; builds the
+  /// machine orders the passes walk.
   virtual void prepare(const core::Problem& problem) = 0;
 
-  /// Fills `order` with all machine indices, most preferred first.
-  /// `state` exposes current loads for selectors that care about them.
-  virtual void order_machines(const core::Problem& problem, const AssignmentState& state,
-                              core::TaskIndex task,
-                              std::vector<core::MachineIndex>& order) const = 0;
+  /// All machine indices, most preferred first, for `task` of the problem
+  /// last passed to `prepare()`. The span stays valid until the next
+  /// `prepare()`.
+  [[nodiscard]] virtual std::span<const core::MachineIndex> order_machines(
+      core::TaskIndex task) const = 0;
+};
+
+/// H2's preference: every machine column ranks the tasks by ascending w
+/// (dense ranks, so equal w share a rank); a task prefers machines where it
+/// ranks best, then smaller w, then smaller index. The order depends only
+/// on the task's own w row, so tasks with equal rows (all tasks of a type on
+/// a type-uniform platform) share one order: the selector stores one order
+/// per distinct row plus each task's row class.
+class RankSelector final : public MachineSelector {
+ public:
+  void prepare(const core::Problem& problem) override;
+  [[nodiscard]] std::span<const core::MachineIndex> order_machines(
+      core::TaskIndex task) const override;
+
+ private:
+  std::size_t machine_count_ = 0;
+  std::vector<core::MachineIndex> orders_;  ///< row-major, one row of m per class
+  std::vector<std::size_t> class_of_;       ///< per task: its w-row class
+};
+
+/// H3's preference: one static order for every task, by decreasing
+/// heterogeneity (standard deviation of the machine's processing-time
+/// column).
+class HeterogeneitySelector final : public MachineSelector {
+ public:
+  void prepare(const core::Problem& problem) override;
+  [[nodiscard]] std::span<const core::MachineIndex> order_machines(
+      core::TaskIndex task) const override;
+
+ private:
+  std::vector<core::MachineIndex> static_order_;
 };
 
 /// Runs one greedy placement pass at a fixed period bound. Returns the

@@ -3,10 +3,14 @@
 // qualitative ordering properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <span>
+#include <vector>
 
 #include "core/evaluation.hpp"
 #include "exp/scenario.hpp"
+#include "heuristics/assignment_state.hpp"
 #include "heuristics/binary_search.hpp"
 #include "heuristics/h1_random.hpp"
 #include "heuristics/h4_family.hpp"
@@ -19,6 +23,16 @@ namespace {
 using core::Mapping;
 using core::MappingRule;
 using core::Problem;
+
+/// The period the binary-search engine's own load accounting gives
+/// `mapping`: machine loads summed in backward order, as a greedy pass sums
+/// them. core::period sums in task-index order, so it can differ in the
+/// last bits and is not the bound a pass certifies.
+double engine_period(const Problem& problem, const Mapping& mapping) {
+  AssignmentState state(problem);
+  for (core::TaskIndex i : problem.app.backward_order()) state.assign(i, mapping.machine_of(i));
+  return state.current_period();
+}
 
 TEST(Registry, HasAllSixInPaperOrder) {
   const auto all = all_heuristics();
@@ -96,28 +110,62 @@ TEST(BinarySearchEngine, RespectsPeriodBound) {
   support::Rng rng(1);
   const auto mapping = h2.run(problem, rng);
   ASSERT_TRUE(mapping.has_value());
-  // Check H2's mapping is within 1 ms of its binary-search certificate:
-  // re-running the assignment pass at (period) must succeed.
-  const double achieved = core::period(problem, *mapping);
+  const double achieved = engine_period(problem, *mapping);
   EXPECT_LE(achieved, core::period_upper_bound(problem));
+  // The mapping certifies its own period: one pass at that bound replays
+  // the final pass's greedy choices and returns the identical mapping.
+  RankSelector selector;
+  selector.prepare(problem);
+  EXPECT_EQ(assign_within_period(problem, selector, achieved), mapping);
 }
 
 TEST(BinarySearchEngine, AssignWithinTightBoundFails) {
   const Problem problem = test::tiny_chain_problem();
   class FirstFitSelector final : public MachineSelector {
    public:
-    void prepare(const core::Problem&) override {}
-    void order_machines(const core::Problem& p, const AssignmentState&, core::TaskIndex,
-                        std::vector<core::MachineIndex>& order) const override {
-      order.resize(p.machine_count());
-      for (std::size_t u = 0; u < order.size(); ++u) order[u] = u;
+    void prepare(const core::Problem& p) override {
+      order_.resize(p.machine_count());
+      for (std::size_t u = 0; u < order_.size(); ++u) order_[u] = u;
     }
+    std::span<const core::MachineIndex> order_machines(core::TaskIndex) const override {
+      return order_;
+    }
+
+   private:
+    std::vector<core::MachineIndex> order_;
   };
   FirstFitSelector selector;
   selector.prepare(problem);
   EXPECT_FALSE(assign_within_period(problem, selector, 1.0).has_value());
   EXPECT_TRUE(
       assign_within_period(problem, selector, core::period_upper_bound(problem)).has_value());
+}
+
+TEST(BinarySearchEngine, SelectorsOrderEveryMachineOnce) {
+  const Problem problem = test::tiny_chain_problem();
+  RankSelector rank;
+  HeterogeneitySelector heterogeneity;
+  rank.prepare(problem);
+  heterogeneity.prepare(problem);
+  const std::vector<const MachineSelector*> selectors{&rank, &heterogeneity};
+  for (core::TaskIndex i = 0; i < problem.task_count(); ++i) {
+    for (const MachineSelector* selector : selectors) {
+      const auto order = selector->order_machines(i);
+      std::vector<core::MachineIndex> sorted(order.begin(), order.end());
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, (std::vector<core::MachineIndex>{0, 1, 2})) << "task " << i;
+    }
+  }
+  // Tasks 0 and 2 share a w row, hence one H2 order: rank 0 on M0, then
+  // M1 and M2 tie at rank 1 and M1's smaller w (200 < 300) goes first.
+  // Task 1 ranks 0 on M1 and M2 (w 120 beats 250) and 1 on M0.
+  const auto first = rank.order_machines(0);
+  EXPECT_EQ(std::vector<core::MachineIndex>(first.begin(), first.end()),
+            (std::vector<core::MachineIndex>{0, 1, 2}));
+  EXPECT_EQ(rank.order_machines(2).data(), first.data());
+  const auto middle = rank.order_machines(1);
+  EXPECT_EQ(std::vector<core::MachineIndex>(middle.begin(), middle.end()),
+            (std::vector<core::MachineIndex>{1, 2, 0}));
 }
 
 TEST(H4Family, PrefersFastMachineWhenFailuresEqual) {
@@ -218,7 +266,12 @@ TEST(Heuristics, H4wBeatsH1OnAverage) {
 }
 
 /// Binary-search heuristics return a mapping whose period certifies the
-/// final search interval: rerunning one pass at that period succeeds.
+/// final search interval. The final pass at bound hi chose every machine
+/// with its load still within that machine's final load, so at most the
+/// period, and rejected every other machine it tried for exceeding hi or
+/// for specialization. Every bound in [period, hi] therefore replays the
+/// same choices, and one pass at the achieved period returns the identical
+/// mapping. "Period" here is the engine's own accounting (engine_period).
 class BinarySearchConsistencyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BinarySearchConsistencyTest, H2PeriodIsAchievedByItsOwnMapping) {
@@ -232,12 +285,21 @@ TEST_P(BinarySearchConsistencyTest, H2PeriodIsAchievedByItsOwnMapping) {
   const auto h3 = heuristic_by_name("H3")->run(problem, rng);
   ASSERT_TRUE(h2.has_value());
   ASSERT_TRUE(h3.has_value());
-  // Both comply with the specialized rule and neither is catastrophically
-  // worse than the other (same search engine, different orderings).
   EXPECT_TRUE(
       h2->complies_with(MappingRule::kSpecialized, problem.app, problem.machine_count()));
   EXPECT_TRUE(
       h3->complies_with(MappingRule::kSpecialized, problem.app, problem.machine_count()));
+
+  RankSelector rank;
+  rank.prepare(problem);
+  const double h2_period = engine_period(problem, *h2);
+  EXPECT_NEAR(h2_period, core::period(problem, *h2), 1e-9 * h2_period);
+  EXPECT_EQ(assign_within_period(problem, rank, h2_period), h2);
+  HeterogeneitySelector heterogeneity;
+  heterogeneity.prepare(problem);
+  const double h3_period = engine_period(problem, *h3);
+  EXPECT_NEAR(h3_period, core::period(problem, *h3), 1e-9 * h3_period);
+  EXPECT_EQ(assign_within_period(problem, heterogeneity, h3_period), h3);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BinarySearchConsistencyTest,
