@@ -13,16 +13,14 @@
 //      admission, cache lookup, response serialization, and the TCP
 //      round-trip.
 //
-//   2. Connection scaling (--idle N > 0): the epoll backend's reason to
-//      exist. One active client measures cache-hit serving while N idle
-//      connections sit open, under BOTH backends. The thread-per-
-//      connection backend burns a thread per idle socket; the reactor
-//      holds them for a few hundred bytes each. Gated, not just recorded:
-//      the epoll daemon's thread count must stay O(solver pool), its
-//      active throughput must not fall meaningfully below the threads
-//      backend's, and the threads backend must demonstrably have paid a
-//      thread per idle connection (the contrast that makes the first two
-//      gates mean something).
+//   2. Connection scaling (--idle N > 0): the reactor's reason to exist.
+//      Two fresh daemons run side by side in this process, one with N
+//      idle connections open and one with none; one active client per
+//      daemon measures cache-hit serving, the two taking turns. The
+//      reactor holds each idle socket for a few hundred bytes, not a
+//      thread. Gated, not just recorded: with N idle the daemon's thread
+//      count must stay O(solver pool), and its active throughput must not
+//      fall meaningfully below the 0-idle daemon's.
 //
 //   bench_service [--connections N] [--requests R] [--distinct K]
 //                 [--idle N] [--idle-requests R] [--out BENCH_service.json]
@@ -148,83 +146,107 @@ int open_idle_connection(std::uint16_t port) {
 
 struct ScalingSample {
   std::size_t idle = 0;
-  int threads_delta = 0;  ///< process threads during the run minus baseline
+  int threads_delta = 0;  ///< process threads added by this daemon
   double req_per_s = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
 };
 
-/// One backend's scaling run: daemon up, `idle` silent connections open and
-/// accepted, then one active client measures `requests` cache-hit solves.
-ScalingSample run_scaling(mf::serve::ServeBackend backend, std::size_t idle,
-                          std::size_t requests, std::size_t pool_threads,
-                          const std::vector<mf::serve::WireRequest>& identities) {
-  const int baseline_threads = process_threads();
-
-  mf::solve::ResultCache cache(4096);
+mf::serve::DaemonOptions scaling_options(mf::solve::CacheBackend* cache,
+                                         std::size_t pool_threads) {
   mf::serve::DaemonOptions options;
-  options.cache = &cache;
-  options.backend = backend;
+  options.cache = cache;
   options.threads = pool_threads;
-  mf::serve::Daemon daemon(options);
-  daemon.start();
-  warm_daemon(daemon, identities);
+  return options;
+}
 
-  std::vector<int> ballast;
-  ballast.reserve(idle);
-  for (std::size_t i = 0; i < idle; ++i) {
-    const int fd = open_idle_connection(daemon.port());
-    if (fd < 0) {
-      std::fprintf(stderr, "error: idle connection %zu failed: %s\n", i,
-                   std::strerror(errno));
-      std::exit(1);
-    }
-    ballast.push_back(fd);
-  }
-  // The gauge below must count *accepted* connections, not a backlog.
-  while (daemon.stats_snapshot().connections_active < idle) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  ScalingSample sample;
-  sample.idle = idle;
-  std::vector<double> latencies;
-  latencies.reserve(requests);
-  {
-    mf::serve::Client client("127.0.0.1", daemon.port());
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < requests; ++r) {
-      const auto sent = std::chrono::steady_clock::now();
-      const mf::serve::Client::Outcome outcome =
-          client.solve(identities[r % identities.size()]);
-      if (!outcome.ok) {
-        std::fprintf(stderr, "error: scaling solve failed (%s): %s: %s\n",
-                     mf::serve::to_string(backend).c_str(), outcome.error_code.c_str(),
-                     outcome.detail.c_str());
+/// One side of the scaling comparison: a warm daemon with `idle` silent
+/// connections open and accepted, and one active client timing cache-hit
+/// solves in chunks.
+class ScalingRig {
+ public:
+  ScalingRig(std::size_t idle, std::size_t pool_threads,
+             const std::vector<mf::serve::WireRequest>& identities)
+      : identities_(identities),
+        baseline_threads_(process_threads()),
+        cache_(4096),
+        daemon_(scaling_options(&cache_, pool_threads)) {
+    daemon_.start();
+    warm_daemon(daemon_, identities_);
+    ballast_.reserve(idle);
+    for (std::size_t i = 0; i < idle; ++i) {
+      const int fd = open_idle_connection(daemon_.port());
+      if (fd < 0) {
+        std::fprintf(stderr, "error: idle connection %zu failed: %s\n", i,
+                     std::strerror(errno));
         std::exit(1);
       }
-      latencies.push_back(std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - sent)
-                              .count());
+      ballast_.push_back(fd);
     }
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    sample.req_per_s =
-        wall_ms > 0.0 ? 1000.0 * static_cast<double>(requests) / wall_ms : 0.0;
-    // Sampled mid-run, with every idle connection live: this is the number
-    // the backends disagree about.
-    sample.threads_delta = process_threads() - baseline_threads;
+    // The gauge below must count *accepted* connections, not a backlog.
+    while (daemon_.stats_snapshot().connections_active < idle) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // Sampled with every idle connection live: a daemon that paid a thread
+    // per connection would show it here.
+    sample_.idle = idle;
+    sample_.threads_delta = process_threads() - baseline_threads_;
+    client_ = std::make_unique<mf::serve::Client>("127.0.0.1", daemon_.port());
   }
-  std::sort(latencies.begin(), latencies.end());
-  sample.p50_ms = quantile(latencies, 0.50);
-  sample.p99_ms = quantile(latencies, 0.99);
 
-  for (const int fd : ballast) ::close(fd);
-  daemon.drain();
-  daemon.wait();
-  return sample;
-}
+  ScalingRig(const ScalingRig&) = delete;
+  ScalingRig& operator=(const ScalingRig&) = delete;
+
+  ~ScalingRig() {
+    client_.reset();
+    for (const int fd : ballast_) ::close(fd);
+    daemon_.drain();
+    daemon_.wait();
+  }
+
+  /// Times `count` more cache-hit solves on the active client.
+  void run_chunk(std::size_t count) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t r = 0; r < count; ++r) {
+      const auto sent = std::chrono::steady_clock::now();
+      const mf::serve::Client::Outcome outcome =
+          client_->solve(identities_[latencies_.size() % identities_.size()]);
+      if (!outcome.ok) {
+        std::fprintf(stderr, "error: scaling solve failed (%zu idle): %s: %s\n",
+                     sample_.idle, outcome.error_code.c_str(), outcome.detail.c_str());
+        std::exit(1);
+      }
+      latencies_.push_back(std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - sent)
+                               .count());
+    }
+    busy_ms_ += std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+  }
+
+  [[nodiscard]] ScalingSample sample() const {
+    ScalingSample sample = sample_;
+    std::vector<double> sorted = latencies_;
+    std::sort(sorted.begin(), sorted.end());
+    sample.req_per_s =
+        busy_ms_ > 0.0 ? 1000.0 * static_cast<double>(sorted.size()) / busy_ms_ : 0.0;
+    sample.p50_ms = quantile(sorted, 0.50);
+    sample.p99_ms = quantile(sorted, 0.99);
+    return sample;
+  }
+
+ private:
+  const std::vector<mf::serve::WireRequest>& identities_;
+  int baseline_threads_;
+  mf::solve::ResultCache cache_;
+  mf::serve::Daemon daemon_;
+  std::vector<int> ballast_;
+  std::unique_ptr<mf::serve::Client> client_;
+  ScalingSample sample_;
+  std::vector<double> latencies_;
+  double busy_ms_ = 0.0;
+};
 
 }  // namespace
 
@@ -312,18 +334,31 @@ int main(int argc, char** argv) {
   const double total_requests = static_cast<double>(all.size());
   const double req_per_s = wall_ms > 0.0 ? 1000.0 * total_requests / wall_ms : 0.0;
 
-  // The scaling comparison (opt-in): pool width pinned so the epoll gate
+  // The scaling comparison (opt-in): pool width pinned so the gate
   // "threads stay O(pool)" has a fixed yardstick.
   constexpr std::size_t kScalingPool = 4;
   const std::size_t idle =
       idle_requested > 0 ? fit_idle_to_fd_limit(idle_requested) : 0;
-  ScalingSample epoll_sample;
-  ScalingSample threads_sample;
+  ScalingSample quiet_sample;
+  ScalingSample idle_sample;
   if (idle > 0) {
-    epoll_sample = run_scaling(mf::serve::ServeBackend::kEpoll, idle, idle_requests,
-                               kScalingPool, identities);
-    threads_sample = run_scaling(mf::serve::ServeBackend::kThreads, idle, idle_requests,
-                                 kScalingPool, identities);
+    // Both daemons stay up and the two clients take turns, chunk by chunk,
+    // in alternating order: host-speed drift and scheduler luck hit both
+    // sides alike, so the ratio gated below measures the idle connections.
+    // The idle daemon comes up first, so its thread count is its own.
+    ScalingRig with_idle(idle, kScalingPool, identities);
+    ScalingRig quiet(0, kScalingPool, identities);
+    constexpr std::size_t kRounds = 20;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      const std::size_t chunk =
+          idle_requests / kRounds + (round < idle_requests % kRounds ? 1 : 0);
+      ScalingRig& first = round % 2 == 0 ? quiet : with_idle;
+      ScalingRig& second = round % 2 == 0 ? with_idle : quiet;
+      first.run_chunk(chunk);
+      second.run_chunk(chunk);
+    }
+    quiet_sample = quiet.sample();
+    idle_sample = with_idle.sample();
   }
 
   std::ostringstream json;
@@ -370,9 +405,9 @@ int main(int argc, char** argv) {
     json << ",\n  \"scaling\": {\n"
          << "    \"idle\": " << idle << ",\n"
          << "    \"pool_threads\": " << kScalingPool << ",\n";
-    emit("epoll", epoll_sample);
+    emit("no_idle", quiet_sample);
     json << ",\n";
-    emit("threads", threads_sample);
+    emit("with_idle", idle_sample);
     json << "\n  }";
   }
   json << "\n}\n";
@@ -390,39 +425,29 @@ int main(int argc, char** argv) {
               quantile(all, 0.99), static_cast<unsigned long long>(stats.service.solved));
 
   if (idle > 0) {
-    std::printf("scaling (%zu idle): epoll %+d threads, %.1f req/s, p50 %.3f ms | "
-                "threads %+d threads, %.1f req/s, p50 %.3f ms\n",
-                idle, epoll_sample.threads_delta, epoll_sample.req_per_s,
-                epoll_sample.p50_ms, threads_sample.threads_delta,
-                threads_sample.req_per_s, threads_sample.p50_ms);
+    std::printf("scaling: 0 idle %+d threads, %.1f req/s, p50 %.3f ms | "
+                "%zu idle %+d threads, %.1f req/s, p50 %.3f ms\n",
+                quiet_sample.threads_delta, quiet_sample.req_per_s, quiet_sample.p50_ms,
+                idle, idle_sample.threads_delta, idle_sample.req_per_s,
+                idle_sample.p50_ms);
 
     // Gate 1: the reactor's thread bill is the pool plus a constant (the
     // loop thread and a little runtime slack) — NOT a function of idle.
     const int allowed = static_cast<int>(kScalingPool) + 8;
-    if (epoll_sample.threads_delta > allowed) {
+    if (idle_sample.threads_delta > allowed) {
       std::fprintf(stderr,
-                   "error: epoll backend used %d extra threads with %zu idle "
+                   "error: daemon used %d extra threads with %zu idle "
                    "connections (allowed %d — pool plus slack)\n",
-                   epoll_sample.threads_delta, idle, allowed);
+                   idle_sample.threads_delta, idle, allowed);
       return 1;
     }
-    // Gate 2: the contrast is real — the threads backend did pay roughly a
-    // thread per idle connection, so gate 1 is measuring something.
-    if (threads_sample.threads_delta < static_cast<int>(idle)) {
+    // Gate 2: parked connections are not allowed to cost active throughput.
+    // 0.85 absorbs timer noise without letting a real regression through.
+    if (idle_sample.req_per_s < 0.85 * quiet_sample.req_per_s) {
       std::fprintf(stderr,
-                   "error: threads backend used only %d extra threads with %zu "
-                   "idle connections — the scaling contrast collapsed\n",
-                   threads_sample.threads_delta, idle);
-      return 1;
-    }
-    // Gate 3: multiplexing is not allowed to cost active throughput. The
-    // epoll backend should meet or beat the threads backend here; 0.85
-    // absorbs CI timer noise without letting a real regression through.
-    if (epoll_sample.req_per_s < 0.85 * threads_sample.req_per_s) {
-      std::fprintf(stderr,
-                   "error: epoll active throughput %.1f req/s fell below 0.85x "
-                   "the threads backend's %.1f req/s\n",
-                   epoll_sample.req_per_s, threads_sample.req_per_s);
+                   "error: active throughput with %zu idle connections, %.1f req/s, "
+                   "fell below 0.85x the 0-idle run's %.1f req/s\n",
+                   idle, idle_sample.req_per_s, quiet_sample.req_per_s);
       return 1;
     }
   }

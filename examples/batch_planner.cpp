@@ -17,7 +17,7 @@
 #include "exp/scenario.hpp"
 #include "extensions/window_constrained.hpp"
 #include "sim/simulator.hpp"
-#include "solve/batch.hpp"
+#include "solve/service.hpp"
 #include "support/cli.hpp"
 #include "support/stats.hpp"
 
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     requests.push_back(std::move(request));
   }
   mf::support::ThreadPool pool;
-  const auto candidates = mf::solve::BatchSolver(&pool).solve_all(requests);
+  const auto candidates = mf::solve::SolveService(&pool).solve_all(requests);
   std::optional<mf::core::Mapping> mapping;
   double best_period = 0.0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {

@@ -119,7 +119,7 @@ int usage(const char* program) {
       "       %s --cache-gc SIZE [--cache-gc-ttl AGE] --cache-dir DIR\n"
       "       %s --serve-demo [--requests N] [--distinct K] [--method ID]\n"
       "          [--cache-dir DIR]\n"
-      "       %s --serve PORT [--serve-backend epoll|threads] [--threads N]\n"
+      "       %s --serve PORT [--threads N]\n"
       "          [--max-pending N] [--rate-limit BURST] [--rate-refill PER_SEC]\n"
       "          [--idle-timeout SECONDS] [--cache-gc-interval DUR]\n"
       "          [--port-file FILE] [--cache-dir DIR]\n"
@@ -150,16 +150,13 @@ int usage(const char* program) {
       "--serve           runs the scheduler daemon on PORT (0 = ephemeral; loopback\n"
       "                  only); SIGTERM drains gracefully — stop accepting, finish\n"
       "                  in-flight solves, report final counters\n"
-      "--serve-backend   connection model: 'epoll' (default — one reactor thread\n"
-      "                  multiplexes every connection; idle clients cost no thread)\n"
-      "                  or 'threads' (one blocking thread per connection)\n"
       "--idle-timeout    close connections idle for SECONDS (no completed frame,\n"
-      "                  no flushed response; 0 = never). Frame-accurate under\n"
-      "                  epoll, a per-read receive timeout under threads\n"
+      "                  no flushed response; 0 = never); frame-accurate, so a\n"
+      "                  client dribbling bytes cannot reset the clock\n"
       "--cache-gc-interval  run disk-cache GC inside the daemon every DUR\n"
-      "                  (s/m/h/d suffixes) on the epoll timer queue; the cap and\n"
-      "                  TTL come from --cache-gc SIZE / --cache-gc-ttl AGE;\n"
-      "                  needs --cache-dir and the epoll backend\n"
+      "                  (s/m/h/d suffixes) on the reactor's timer queue; the cap\n"
+      "                  and TTL come from --cache-gc SIZE / --cache-gc-ttl AGE;\n"
+      "                  needs --cache-dir\n"
       "--max-pending     daemon admission cap: solves in flight across all clients\n"
       "                  before new ones are refused with queue-full\n"
       "--rate-limit      per-client token bucket: burst capacity in requests\n"
@@ -699,16 +696,6 @@ int run_serve(const mf::support::CliArgs& args) {
   options.rate_capacity = args.get_double("rate-limit", 0.0);
   options.rate_refill_per_sec = args.get_double("rate-refill", 1.0);
   options.cache = cache_scope.backend();
-
-  const std::string backend_text = args.get("serve-backend", "epoll");
-  const std::optional<mf::serve::ServeBackend> backend =
-      mf::serve::serve_backend_from_string(backend_text);
-  if (!backend.has_value()) {
-    std::fprintf(stderr, "error: unknown --serve-backend '%s' (epoll, threads)\n",
-                 backend_text.c_str());
-    return 2;
-  }
-  options.backend = *backend;
   options.idle_timeout_seconds = args.get_double("idle-timeout", 0.0);
 
   if (args.has("cache-gc-interval")) {
@@ -718,12 +705,6 @@ int run_serve(const mf::support::CliArgs& args) {
       std::fprintf(stderr,
                    "error: --cache-gc-interval expects a positive duration like 30s or "
                    "15m (s/m/h/d)\n");
-      return 2;
-    }
-    if (*backend != mf::serve::ServeBackend::kEpoll) {
-      std::fprintf(stderr,
-                   "error: --cache-gc-interval needs the epoll backend (the timer queue "
-                   "lives in the reactor)\n");
       return 2;
     }
     if (cache_scope.disk() == nullptr) {
@@ -760,9 +741,8 @@ int run_serve(const mf::support::CliArgs& args) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
   }
-  std::printf("serve: listening on 127.0.0.1:%u (backend %s, max pending %zu, rate limit %s)\n",
-              static_cast<unsigned>(daemon.port()),
-              mf::serve::to_string(options.backend).c_str(), options.max_pending,
+  std::printf("serve: listening on 127.0.0.1:%u (max pending %zu, rate limit %s)\n",
+              static_cast<unsigned>(daemon.port()), options.max_pending,
               options.rate_capacity > 0.0
                   ? (std::to_string(options.rate_capacity) + " burst").c_str()
                   : "off");
@@ -797,14 +777,12 @@ int run_serve(const mf::support::CliArgs& args) {
               static_cast<unsigned long long>(stats.connections_total),
               static_cast<unsigned long long>(stats.service.completed),
               stats.latency_p50_ms, stats.latency_p99_ms);
-  if (options.backend == mf::serve::ServeBackend::kEpoll) {
-    std::printf("serve: loop %llu wakeups, %llu timers fired, %llu idle closes, "
-                "%llu bytes backpressured\n",
-                static_cast<unsigned long long>(stats.loop_wakeups),
-                static_cast<unsigned long long>(stats.loop_timers_fired),
-                static_cast<unsigned long long>(stats.idle_closes),
-                static_cast<unsigned long long>(stats.backpressure_bytes));
-  }
+  std::printf("serve: loop %llu wakeups, %llu timers fired, %llu idle closes, "
+              "%llu bytes backpressured\n",
+              static_cast<unsigned long long>(stats.loop_wakeups),
+              static_cast<unsigned long long>(stats.loop_timers_fired),
+              static_cast<unsigned long long>(stats.idle_closes),
+              static_cast<unsigned long long>(stats.backpressure_bytes));
   if (options.cache_gc_interval_seconds > 0.0) {
     std::printf("serve: gc %llu runs, %llu entries removed (%llu bytes)\n",
                 static_cast<unsigned long long>(stats.gc_runs),

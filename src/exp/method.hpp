@@ -29,7 +29,7 @@ struct Method {
   /// Resolved once by method_for so direct `run()` calls (the per-method
   /// benches) skip the registry lock; when null, run() resolves
   /// `solver_id` anew. Sweeps no longer use it — the runner goes through
-  /// BatchSolver, which dedupes its own resolution per batch.
+  /// SolveService, which dedupes its own resolution per batch.
   std::shared_ptr<const solve::Solver> solver;
 
   /// Full-fidelity solve through the registry; `seed` overrides

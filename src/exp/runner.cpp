@@ -6,7 +6,7 @@
 
 #include "core/evaluation.hpp"
 #include "exp/scenario_registry.hpp"
-#include "solve/batch.hpp"
+#include "solve/service.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -117,7 +117,7 @@ std::vector<TrialOutcome> evaluate_trials(const SweepSpec& spec, const Scenario&
   // default is the in-process batch engine; `options.executor` reroutes the
   // same requests (content-addressed seeds and all) to, e.g., a scheduler
   // daemon — the outcomes, and therefore the table, are bit-identical.
-  solve::BatchSolver local(pool, options.backend);
+  solve::SolveService local(pool, options.backend);
   solve::SolveExecutor& executor =
       options.executor != nullptr ? static_cast<solve::SolveExecutor&>(*options.executor)
                                   : local;

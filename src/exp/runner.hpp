@@ -14,7 +14,7 @@
 // reproduce that protocol.
 //
 // Execution goes through one engine: every (trial, method) pair becomes a
-// `solve::SolveRequest` and `solve::BatchSolver` fans the requests over the
+// `solve::SolveRequest` and `solve::SolveService` fans the requests over the
 // thread pool — the same path the CLI and examples use, so sweeps inherit
 // result caching and per-request error isolation for free. Seeds are
 // content-addressed: a request's seed depends only on (base_seed,
@@ -98,7 +98,7 @@ struct SweepOptions {
   /// stored. Must outlive the sweep.
   solve::CacheBackend* backend = nullptr;
   /// Where the sweep's solve batches execute; null means a local
-  /// `BatchSolver` over `pool`/`backend`. Point it at a
+  /// `SolveService` over `pool`/`backend`. Point it at a
   /// `serve::RemoteExecutor` and every (trial, method) solve ships to a
   /// scheduler daemon instead — the table is bit-identical either way,
   /// because requests carry content-addressed seeds and the wire round-trip

@@ -52,18 +52,11 @@ ReadResult Client::roundtrip(const Frame& frame) {
 }
 
 ReadResult Client::roundtrip_raw(const std::string& bytes) {
-  ReadResult failure;
-  failure.status = ReadStatus::kClosed;
-  failure.detail = "write failed";
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ::ssize_t wrote = ::write(fd_, bytes.data() + sent, bytes.size() - sent);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return failure;
-    }
-    if (wrote == 0) return failure;
-    sent += static_cast<std::size_t>(wrote);
+  if (!send_all(fd_, bytes)) {
+    ReadResult failure;
+    failure.status = ReadStatus::kClosed;
+    failure.detail = "write failed";
+    return failure;
   }
   // Responses from a daemon can carry a whole solve result; accept more
   // than the request-side default.

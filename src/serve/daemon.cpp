@@ -5,7 +5,6 @@
 #include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,6 +15,7 @@
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/digest.hpp"
 #include "serve/event_loop.hpp"
@@ -38,32 +38,15 @@ void set_nonblocking(int fd) {
 
 }  // namespace
 
-std::string to_string(ServeBackend backend) {
-  switch (backend) {
-    case ServeBackend::kEpoll:
-      return "epoll";
-    case ServeBackend::kThreads:
-      return "threads";
-  }
-  return "?";
-}
-
-std::optional<ServeBackend> serve_backend_from_string(const std::string& token) {
-  if (token == "epoll") return ServeBackend::kEpoll;
-  if (token == "threads") return ServeBackend::kThreads;
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
-// The epoll backend: one reactor thread multiplexing every connection.
+// The reactor: one thread multiplexing every connection.
 //
 // Each connection is a small frame state machine. kHeader accumulates the
 // header line byte-for-byte (bounded by kMaxHeaderBytes); kBody fills the
-// declared body; a complete frame dispatches exactly like the threads
-// backend's switch. A solve leaves the connection in kSolveWait with the
-// socket deregistered from epoll — the daemon reads nothing more from that
-// client until its answer is on the wire, which is the same
-// one-request-at-a-time backpressure the blocking backend gets for free.
+// declared body; a complete frame dispatches on its type. A solve leaves
+// the connection in kSolveWait with the socket deregistered from epoll —
+// the daemon reads nothing more from that client until its answer is on
+// the wire, so each connection is served one request at a time, in order.
 // Responses are written immediately; a short write parks the remainder in
 // `out` and arms EPOLLOUT (the backpressure_bytes gauge counts those
 // bytes). Solve completion happens on a pool thread, which serializes the
@@ -161,9 +144,8 @@ struct EpollServer {
           daemon_.draining_.load(std::memory_order_relaxed)) {
         // Lost the race with drain(): refuse politely (best effort — the
         // socket buffer of a fresh connection always has room).
-        const std::string bytes = frame_to_bytes(
-            {FrameType::kError, error_body(kErrDraining, "daemon is draining")});
-        (void)!::write(fd, bytes.data(), bytes.size());
+        (void)send_all(fd, frame_to_bytes({FrameType::kError,
+                                           error_body(kErrDraining, "daemon is draining")}));
         close_quietly(fd);
         continue;
       }
@@ -246,7 +228,7 @@ struct EpollServer {
       destroy(conn);  // clean EOF between frames
       return;
     }
-    // EOF mid-frame: answer like the blocking reader would, then hang up.
+    // EOF mid-frame: answer with read_frame's detail, then hang up.
     const std::string detail =
         conn->phase == Connection::Phase::kBody
             ? "truncated body (declared " +
@@ -290,7 +272,7 @@ struct EpollServer {
         if (parsed.status != ReadStatus::kOk) {
           // kTooLarge refuses on the declared length alone — no body byte
           // is ever buffered. Either way the stream is out of sync: answer
-          // and hang up, exactly like the blocking reader.
+          // and hang up.
           conn->close_after_flush = true;
           const char* code =
               parsed.status == ReadStatus::kTooLarge ? kErrTooLarge : kErrBadRequest;
@@ -378,9 +360,8 @@ struct EpollServer {
             if (loop->on_loop_thread()) {
               // Warm identity: the service answered from cache inside
               // submit_async, on this very thread. Finish inline — no
-              // eventfd round-trip, no extra epoll_wait — which is what
-              // keeps the reactor's cache-hit serving competitive with a
-              // dedicated blocking thread per connection.
+              // eventfd round-trip, no extra epoll_wait — which keeps the
+              // cache-hit path to one read and one write.
               finish_solve(conn_id, std::move(response), started);
               return;
             }
@@ -428,8 +409,10 @@ struct EpollServer {
 
   void flush(const std::shared_ptr<Connection>& conn) {
     while (conn->out_pos < conn->out.size()) {
-      const ssize_t wrote = ::write(conn->fd, conn->out.data() + conn->out_pos,
-                                    conn->out.size() - conn->out_pos);
+      // MSG_NOSIGNAL: a client that hung up mid-solve is an EPIPE to
+      // destroy(), never a SIGPIPE that kills the daemon.
+      const ssize_t wrote = ::send(conn->fd, conn->out.data() + conn->out_pos,
+                                   conn->out.size() - conn->out_pos, MSG_NOSIGNAL);
       if (wrote > 0) {
         conn->out_pos += static_cast<std::size_t>(wrote);
         continue;
@@ -557,62 +540,26 @@ void Daemon::start() {
     port_ = ntohs(bound.sin_port);
   }
 
-  if (options_.backend == ServeBackend::kEpoll) {
-    set_nonblocking(listen_fd_);
-    epoll_ = std::make_unique<EpollServer>(*this);
-    epoll_->start();
-    loop_thread_ = std::thread([loop = epoll_->loop_] { loop->run(); });
-  } else {
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
+  set_nonblocking(listen_fd_);
+  epoll_ = std::make_unique<EpollServer>(*this);
+  epoll_->start();
+  loop_thread_ = std::thread([loop = epoll_->loop_] { loop->run(); });
 }
 
 void Daemon::drain() {
   if (draining_.exchange(true)) return;
-  if (options_.backend == ServeBackend::kEpoll) {
-    // Everything happens on the loop thread — no lock dance with the
-    // connection table. draining_ is already set, so admissions refuse
-    // `draining` even before the posted closure runs.
-    if (epoll_) {
-      epoll_->loop_->post([server = epoll_.get()] { server->request_drain(); });
-    }
-    return;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    // shutdown(2), not close(2): it pops the accept thread out of
-    // accept(2) without retiring the descriptor number, so there is no
-    // window where another thread's fresh fd could be mistaken for the
-    // listen socket. wait() closes it after the accept thread has joined.
-    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-    // Nudge connections blocked in read_frame: SHUT_RD makes their next
-    // read return EOF. Write sides stay open, so a thread mid-solve still
-    // flushes its response before it notices the drain.
-    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RD);
+  // Everything happens on the loop thread — no lock dance with the
+  // connection table. draining_ is already set, so admissions refuse
+  // `draining` even before the posted closure runs.
+  if (epoll_) {
+    epoll_->loop_->post([server = epoll_.get()] { server->request_drain(); });
   }
 }
 
 void Daemon::wait() {
-  if (options_.backend == ServeBackend::kEpoll) {
-    if (loop_thread_.joinable()) loop_thread_.join();
-    close_quietly(listen_fd_);
-    listen_fd_ = -1;
-    return;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    close_quietly(listen_fd_);
-    listen_fd_ = -1;
-  }
-  std::vector<std::thread> threads;
-  {
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    threads.swap(connection_threads_);
-  }
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
-  }
+  if (loop_thread_.joinable()) loop_thread_.join();
+  close_quietly(listen_fd_);
+  listen_fd_ = -1;
 }
 
 DaemonStatsSnapshot Daemon::stats_snapshot() const {
@@ -641,11 +588,6 @@ DaemonStatsSnapshot Daemon::stats_snapshot() const {
   return stats;
 }
 
-double Daemon::now_seconds() noexcept {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 void Daemon::run_gc_once() {
   if (options_.gc_disk == nullptr) return;
   const std::uint64_t cap = options_.gc_max_bytes == 0
@@ -656,89 +598,6 @@ void Daemon::run_gc_once() {
   gc_runs_.fetch_add(1, std::memory_order_relaxed);
   gc_entries_removed_.fetch_add(report.entries_removed, std::memory_order_relaxed);
   gc_bytes_removed_.fetch_add(report.bytes_removed, std::memory_order_relaxed);
-}
-
-void Daemon::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      // listen_fd_ was closed by drain(), or the socket died — either way
-      // the daemon stops taking new connections.
-      return;
-    }
-    if (options_.idle_timeout_seconds > 0.0) {
-      // Best approximation without a reactor: a receive timeout. Note this
-      // is per read(2), so a client trickling bytes faster than the
-      // timeout can keep refreshing it — frame-accurate idle accounting is
-      // the epoll backend's job.
-      timeval tv{};
-      tv.tv_sec = static_cast<time_t>(options_.idle_timeout_seconds);
-      tv.tv_usec = static_cast<suseconds_t>(
-          (options_.idle_timeout_seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    }
-    {
-      const std::lock_guard<std::mutex> lock(threads_mutex_);
-      if (draining_.load(std::memory_order_relaxed)) {
-        // Lost the race with drain(): refuse politely instead of serving.
-        (void)write_frame(fd, {FrameType::kError,
-                               error_body(kErrDraining, "daemon is draining")});
-        close_quietly(fd);
-        continue;
-      }
-      connection_fds_.insert(fd);
-      connection_threads_.emplace_back([this, fd] { connection_loop(fd); });
-    }
-    connections_total_.fetch_add(1, std::memory_order_relaxed);
-    connections_active_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void Daemon::connection_loop(int fd) {
-  for (;;) {
-    const ReadResult incoming = read_frame(fd, options_.max_frame_bytes);
-    if (incoming.status == ReadStatus::kClosed) break;
-    if (incoming.status == ReadStatus::kTooLarge) {
-      // The declared body was never read, so the stream is out of sync:
-      // answer and hang up.
-      (void)write_frame(fd, {FrameType::kError, error_body(kErrTooLarge, incoming.detail)});
-      break;
-    }
-    if (incoming.status == ReadStatus::kMalformed) {
-      (void)write_frame(fd,
-                        {FrameType::kError, error_body(kErrBadRequest, incoming.detail)});
-      break;
-    }
-
-    Frame response;
-    switch (incoming.frame.type) {
-      case FrameType::kPing:
-        response = {FrameType::kOk, "pong\n"};
-        break;
-      case FrameType::kStats:
-        response = {FrameType::kOk, stats_to_text(stats_snapshot())};
-        break;
-      case FrameType::kSolve:
-        response = handle_solve(incoming.frame.body);
-        break;
-      case FrameType::kOk:
-      case FrameType::kError:
-        // Response types are not requests; a peer sending one is confused.
-        response = {FrameType::kError,
-                    error_body(kErrBadRequest, "frame type '" +
-                                                   to_string(incoming.frame.type) +
-                                                   "' is not a request")};
-        break;
-    }
-    if (!write_frame(fd, response)) break;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    connection_fds_.erase(fd);
-  }
-  close_quietly(fd);
-  connections_active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::optional<WireRequest> Daemon::admit_solve(const std::string& body, Frame& refusal) {
@@ -754,7 +613,7 @@ std::optional<WireRequest> Daemon::admit_solve(const std::string& body, Frame& r
     return std::nullopt;
   }
 
-  if (!limiter_.try_acquire(wire->client_id, now_seconds())) {
+  if (!limiter_.try_acquire(wire->client_id, EventLoop::now_seconds())) {
     service_->note_rejected_rate_limited();
     refusal = {FrameType::kError,
                error_body(kErrRateLimited,
@@ -775,36 +634,6 @@ std::optional<WireRequest> Daemon::admit_solve(const std::string& body, Frame& r
     return std::nullopt;
   }
   return wire;
-}
-
-Frame Daemon::handle_solve(const std::string& body) {
-  Frame refusal;
-  std::optional<WireRequest> wire = admit_solve(body, refusal);
-  if (!wire.has_value()) return refusal;
-
-  Frame response;
-  const auto started = std::chrono::steady_clock::now();
-  try {
-    // The response body needs the canonical key even when the request's
-    // cache policy is kOff (submit() builds none then) — compute it here,
-    // from exactly the fields submit() would use.
-    const solve::CacheKey key =
-        solve::make_cache_key(core::digest(*wire->request.problem),
-                              solve::effective_solver_id(wire->request.solver_id,
-                                                         wire->request.params),
-                              wire->request.params);
-    const solve::SolveResult result = service_->submit(std::move(wire->request)).get();
-    response = {FrameType::kOk, solve::entry_to_text(key, result)};
-  } catch (const std::invalid_argument& error) {
-    response = {FrameType::kError, error_body(kErrBadRequest, error.what())};
-  } catch (const std::exception& error) {
-    response = {FrameType::kError, error_body(kErrInternal, error.what())};
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - started;
-  latency_.record_us(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()));
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  return response;
 }
 
 }  // namespace mf::serve

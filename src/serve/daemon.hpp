@@ -6,25 +6,20 @@
 // cost one solve per distinct identity, exactly as if they shared a
 // process.
 //
-// Two serving backends share every admission/semantic decision:
+// Connections are multiplexed by a single reactor thread
+// (`serve/event_loop.hpp`) over non-blocking sockets, with a
+// per-connection frame state machine that resumes partial reads and
+// writes. Solves run on the pool via `SolveService::submit_async`, and
+// completion re-enters the loop through the eventfd wakeup. Idle
+// connections cost a few hundred bytes, not a thread — thousands of
+// dormant clients are fine.
 //
-//   * `ServeBackend::kEpoll` (default) — a single reactor thread
-//     (`serve/event_loop.hpp`) multiplexes every connection with
-//     non-blocking sockets and a per-connection frame state machine that
-//     resumes partial reads and writes; solves run on the pool via
-//     `SolveService::submit_async`, and completion re-enters the loop
-//     through the eventfd wakeup. Idle connections cost a few hundred
-//     bytes, not a thread — thousands of dormant clients are fine.
-//   * `ServeBackend::kThreads` — the original one-thread-per-connection
-//     model: a connection thread blocks in `read_frame`, answers inline,
-//     and `submit().get()` blocks it while the pool solves.
+// Every `solve` frame runs the same admission gauntlet (drain flag → body
+// parse → rate limiter → bounded pending counter) and every refusal is an
+// explicit error frame carrying one of six codes; the test suite pins the
+// refusal bytes against a committed fixture.
 //
-// Both run the identical admission gauntlet for `solve` frames (drain flag
-// → body parse → rate limiter → bounded pending counter) and produce
-// byte-identical wire responses, including all six error codes — the test
-// suite asserts this across both backends.
-//
-// The epoll backend's timer queue also does the daemon's housekeeping:
+// The reactor's timer queue also does the daemon's housekeeping:
 // idle-connection timeouts (measured frame-to-frame, so a byte-dribbling
 // slow-loris client is closed on schedule), rate-limiter bucket pruning,
 // and — when configured — periodic `DiskCache::gc` so a long-lived daemon
@@ -32,19 +27,16 @@
 //
 // Shutdown is a drain, not an abort: `drain()` stops accepting, marks the
 // daemon draining (new solve frames are refused with `draining`), and
-// nudges idle connections closed; in-flight solves complete and their
-// responses flush before the backend retires. `wait()` joins everything.
+// closes idle connections; in-flight solves complete and their responses
+// flush before the reactor retires. `wait()` joins it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_set>
-#include <vector>
 
 #include "serve/latency.hpp"
 #include "serve/protocol.hpp"
@@ -58,13 +50,11 @@ class DiskCache;
 
 namespace mf::serve {
 
-/// How the daemon multiplexes connections; solve execution is the shared
-/// pool either way.
-enum class ServeBackend { kEpoll, kThreads };
-
-[[nodiscard]] std::string to_string(ServeBackend backend);
-[[nodiscard]] std::optional<ServeBackend> serve_backend_from_string(
-    const std::string& token);
+/// The daemon has one connection model, the epoll reactor. This enum and
+/// `DaemonOptions::backend` remain only so the end-to-end benchmark under
+/// `perfbench/`, which sets the field, keeps compiling; the daemon never
+/// reads it. Delete both with the next change to that benchmark.
+enum class ServeBackend { kEpoll };
 
 struct DaemonOptions {
   /// TCP port to listen on (loopback only); 0 picks an ephemeral port —
@@ -73,8 +63,7 @@ struct DaemonOptions {
   std::uint16_t port = 0;
   /// Solver pool width; 0 = hardware concurrency.
   std::size_t threads = 0;
-  /// Connection multiplexing model; the epoll reactor is the default, the
-  /// thread-per-connection path remains for comparison and as a fallback.
+  /// Unused; see `ServeBackend`.
   ServeBackend backend = ServeBackend::kEpoll;
   /// Admission control: solve requests admitted but not yet answered,
   /// across all connections. At the cap, new solves are refused with
@@ -91,13 +80,9 @@ struct DaemonOptions {
   /// flushed) for this long; <= 0 disables. Connections with a solve in
   /// flight are exempt. Activity is counted per *frame*, not per byte, so
   /// a slow-loris client dribbling a header cannot stay alive forever.
-  /// (The threads backend approximates this with a receive timeout, which
-  /// a dribbler can refresh per byte — one of the reasons epoll is the
-  /// default.)
   double idle_timeout_seconds = 0.0;
   /// Run `DiskCache::gc(gc_max_bytes, gc_max_age_seconds)` on the reactor's
   /// timer every this-many seconds; <= 0 (or a null `gc_disk`) disables.
-  /// Epoll backend only — the threads backend has no timer queue.
   double cache_gc_interval_seconds = 0.0;
   /// The disk tier the GC timer compacts. Distinct from `cache` because
   /// the service's backend is usually a `TieredCache` wrapper that does
@@ -125,7 +110,7 @@ class Daemon {
   /// Drains and joins; a destroyed daemon has no live threads.
   ~Daemon();
 
-  /// Binds, listens, and starts the serving backend. Throws
+  /// Binds, listens, and starts the reactor thread. Throws
   /// `std::runtime_error` when the port cannot be bound.
   void start();
 
@@ -134,11 +119,11 @@ class Daemon {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   /// Begins graceful shutdown: stop accepting, refuse new solves with
-  /// `draining`, nudge idle connections closed. Idempotent; safe from any
-  /// thread (it is the SIGTERM path).
+  /// `draining`, close idle connections. Idempotent; safe from any thread
+  /// (it is the SIGTERM path).
   void drain();
 
-  /// Blocks until the serving backend has retired every connection (i.e.
+  /// Blocks until the reactor has retired every connection (i.e.
   /// after `drain()`, until in-flight work has finished and flushed).
   void wait();
 
@@ -150,20 +135,14 @@ class Daemon {
  private:
   friend struct EpollServer;
 
-  void accept_loop();
-  void connection_loop(int fd);
-  /// Handles one solve frame; returns the response frame (threads
-  /// backend — blocks on the future).
-  [[nodiscard]] Frame handle_solve(const std::string& body);
-  /// The admission gauntlet both backends share: drain flag → body parse →
-  /// rate limiter → bounded pending counter, in exactly that order.
+  /// The admission gauntlet: drain flag → body parse → rate limiter →
+  /// bounded pending counter, in exactly that order.
   /// Returns the admitted request (a pending slot is now held — the caller
   /// must release it after answering) or nullopt with `refusal` filled.
   [[nodiscard]] std::optional<WireRequest> admit_solve(const std::string& body,
                                                        Frame& refusal);
   /// One periodic-GC pass over `options_.gc_disk`; updates the counters.
   void run_gc_once();
-  [[nodiscard]] static double now_seconds() noexcept;
 
   DaemonOptions options_;
   std::unique_ptr<support::ThreadPool> pool_;
@@ -179,21 +158,15 @@ class Daemon {
   std::atomic<std::uint64_t> connections_active_{0};
   std::atomic<std::uint64_t> idle_closes_{0};
   /// Bytes currently buffered for writers the peer is slow to read —
-  /// maintained by the epoll backend's flush path.
+  /// maintained by the reactor's flush path.
   std::atomic<std::int64_t> backpressure_bytes_{0};
   std::atomic<std::uint64_t> gc_runs_{0};
   std::atomic<std::uint64_t> gc_entries_removed_{0};
   std::atomic<std::uint64_t> gc_bytes_removed_{0};
 
-  // Epoll backend: the reactor state and the one thread running it.
+  // The reactor state and the one thread running it.
   std::unique_ptr<EpollServer> epoll_;
   std::thread loop_thread_;
-
-  // Threads backend: the accept thread plus one thread per connection.
-  std::thread accept_thread_;
-  std::mutex threads_mutex_;
-  std::vector<std::thread> connection_threads_;
-  std::unordered_set<int> connection_fds_;
 };
 
 }  // namespace mf::serve

@@ -1,5 +1,5 @@
 // A single-threaded epoll readiness reactor with an ordered timer queue —
-// the engine under the scheduler daemon's event-loop backend.
+// the engine under the scheduler daemon's connection handling.
 //
 // One `EventLoop` owns one epoll instance, one eventfd wakeup, and one
 // timer queue, and runs them all on whichever thread calls `run()`. The

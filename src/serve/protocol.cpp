@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -123,21 +124,6 @@ class BodyReader {
   std::size_t pos_ = 0;
   std::istringstream fields_;
 };
-
-/// Blocking full-buffer write with short-write/EINTR retries.
-bool write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ::ssize_t wrote = ::write(fd, data, size);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (wrote == 0) return false;
-    data += wrote;
-    size -= static_cast<std::size_t>(wrote);
-  }
-  return true;
-}
 
 /// Blocking read of exactly `size` bytes; false on EOF or error.
 bool read_all(int fd, char* data, std::size_t size) {
@@ -287,9 +273,17 @@ HeaderParse parse_frame_header(const std::string& header,
   return result;
 }
 
-bool write_frame(int fd, const Frame& frame) {
-  const std::string bytes = frame_to_bytes(frame);
-  return write_all(fd, bytes.data(), bytes.size());
+bool send_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ::ssize_t wrote = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (wrote < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (wrote == 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(wrote));
+  }
+  return true;
 }
 
 std::string request_to_text(const WireRequest& wire) {

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "solve/cache_backend.hpp"
 #include "solve/service.hpp"
@@ -105,14 +106,15 @@ struct HeaderParse {
 
 /// The one strict header parser both the blocking reader and the epoll
 /// state machine share — strictly three tokens (`mf-serve/1 <type> <len>`),
-/// so the two backends reject malformed headers with byte-identical
+/// so a client and the daemon reject malformed headers with identical
 /// details.
 [[nodiscard]] HeaderParse parse_frame_header(const std::string& header,
                                              std::size_t max_body_bytes);
 
-/// Writes a whole frame to `fd` (blocking, retries short writes); false on
-/// any write error.
-[[nodiscard]] bool write_frame(int fd, const Frame& frame);
+/// Sends every byte to socket `fd` (blocking, retries short writes and
+/// EINTR); false on any send error. MSG_NOSIGNAL: a peer that hung up is a
+/// false return, never a SIGPIPE.
+[[nodiscard]] bool send_all(int fd, std::string_view bytes);
 
 /// A solve request as it travels: the client's identity (the rate-limiter
 /// key) plus the `SolveRequest` itself. The wire form is final — stream
@@ -150,10 +152,9 @@ struct DaemonStatsSnapshot {
   std::uint64_t pending = 0;  ///< solve requests admitted and not yet answered
   std::uint64_t pool_queue_depth = 0;
   std::uint64_t pool_in_flight = 0;
-  // Event-loop gauges (zero under the threads backend, which has no
-  // reactor): epoll wakeups with work, timer handlers run, connections
-  // closed by the idle timeout, and bytes currently buffered for writers
-  // whose peer is slow to read (backpressure).
+  // Event-loop gauges: epoll wakeups with work, timer handlers run,
+  // connections closed by the idle timeout, and bytes currently buffered
+  // for writers whose peer is slow to read (backpressure).
   std::uint64_t loop_wakeups = 0;
   std::uint64_t loop_timers_fired = 0;
   std::uint64_t idle_closes = 0;

@@ -11,7 +11,7 @@
 //
 // Concurrency: the cache is sharded — kShardCount independent
 // (mutex, LRU list, hash map) triples selected by key hash — so a
-// BatchSolver fan hitting the cache from every pool thread contends only
+// SolveService fan hitting the cache from every pool thread contends only
 // per shard. Each shard evicts least-recently-used entries beyond its slice
 // of the capacity. Hit/miss/insert/evict counters are process-wide atomics
 // surfaced through `stats()` and, per result, `diagnostics.cache_hit`.
@@ -58,7 +58,7 @@ class ResultCache final : public CacheBackend {
   void clear() override;
   [[nodiscard]] std::string describe() const override;
 
-  /// The process-wide cache `run()` and `BatchSolver` consult. Sized at
+  /// The process-wide cache `run()` and `SolveService` consult. Sized at
   /// kDefaultCapacity; dedicated instances are for tests and tools.
   [[nodiscard]] static ResultCache& global();
 

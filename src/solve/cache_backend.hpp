@@ -97,7 +97,7 @@ struct CacheStats {
   }
 };
 
-/// What the execution layer (cached_solve, SolveService, BatchSolver)
+/// What the execution layer (cached_solve, SolveService)
 /// requires of a result store. Implementations must be safe for concurrent
 /// lookup/insert from pool threads, and a lookup hit must return exactly
 /// the result the solver would recompute for that key — backends that

@@ -20,11 +20,11 @@
 // Requests with CachePolicy::kOff have no key and therefore no
 // deduplication — they run independently, as demanded.
 //
-// `solve_all` is the synchronous batch face over the same machinery
-// (`BatchSolver` is now a thin alias for it): resolve every solver id up
-// front, digest each distinct problem once, derive per-index stream seeds,
-// submit everything, wait. Per-request failures become Status::kError
-// results — an exception never crosses a future out of the service.
+// `solve_all` is the synchronous batch face over the same machinery:
+// resolve every solver id up front, digest each distinct problem once,
+// derive per-index stream seeds, submit everything, wait. Per-request
+// failures become Status::kError results — an exception never crosses a
+// future out of the service.
 #pragma once
 
 #include <atomic>
@@ -80,10 +80,10 @@ struct ServiceStats {
 };
 
 /// The execution seam consumers program against when they don't care WHERE
-/// solving happens: `SolveService` (and its `BatchSolver` face) solves
-/// in-process; `serve::RemoteExecutor` ships every request to a scheduler
-/// daemon over TCP. `exp::SweepOptions::executor` accepts any of them, so a
-/// figure sweep runs bit-identically against either.
+/// solving happens: `SolveService` solves in-process;
+/// `serve::RemoteExecutor` ships every request to a scheduler daemon over
+/// TCP. `exp::SweepOptions::executor` accepts either, so a figure sweep
+/// runs bit-identically against both.
 class SolveExecutor {
  public:
   virtual ~SolveExecutor() = default;

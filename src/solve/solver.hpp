@@ -3,7 +3,7 @@
 // combinatorial branch-and-bound, the Section 6.1 MIP and the brute-force
 // trust anchor — is exposed behind one `Solver` interface, discovered
 // through the `SolverRegistry` and executed through `run()` (one request)
-// or `BatchSolver` (a fan of requests over a thread pool).
+// or `SolveService` (a fan of requests over a thread pool).
 //
 // A solve is described by a problem instance plus a `SolveParams` bag
 // (seed, node budget, local-search refinement, time limit) and yields a
@@ -30,7 +30,7 @@ enum class Status {
   kBudgetExhausted,  ///< node/time budget ran out before a proof; a best
                      ///< incumbent may still be attached
   kError,            ///< the solver threw; diagnostics.note carries the
-                     ///< message. Produced by BatchSolver, which converts
+                     ///< message. Produced by SolveService, which converts
                      ///< per-request exceptions so one bad request cannot
                      ///< kill a 10k-request sweep (run() still propagates).
 };
@@ -60,7 +60,7 @@ struct SolveParams {
   /// unlimited search for both bnb and mip.
   std::optional<std::uint64_t> max_nodes;
   /// Append a local-search refinement stage (the "+ls" composite) to
-  /// whatever the solver produces. Interpreted by `run()`/`BatchSolver`;
+  /// whatever the solver produces. Interpreted by `run()`/`SolveService`;
   /// equivalent to suffixing the solver id with "+ls".
   bool local_search = false;
   /// Options for the refinement stage when `local_search` is on (or the id
@@ -71,7 +71,7 @@ struct SolveParams {
   /// 0 means unlimited. Solvers do not interrupt mid-search; use
   /// `max_nodes` to bound the search itself.
   double time_limit_ms = 0.0;
-  /// Result-cache interaction for this solve; `run()` and `BatchSolver`
+  /// Result-cache interaction for this solve; `run()` and `SolveService`
   /// consult the process-wide cache when it is not kOff. The policy itself
   /// is execution advice, not problem content — it is never part of the
   /// cache key.
@@ -136,7 +136,7 @@ class Solver {
 
 /// Runs `solver` and stamps `diagnostics.solver_id` and
 /// `diagnostics.wall_time_ms` into the result. The entry point `run()` and
-/// `BatchSolver` both funnel through this.
+/// `SolveService` both funnel through this.
 [[nodiscard]] SolveResult timed_solve(const Solver& solver, const core::Problem& problem,
                                       const SolveParams& params);
 

@@ -11,9 +11,9 @@
 #include "exp/figures.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
-#include "solve/batch.hpp"
 #include "solve/cache.hpp"
 #include "solve/registry.hpp"
+#include "solve/service.hpp"
 #include "solve/solver.hpp"
 
 namespace mf::solve {
@@ -189,7 +189,7 @@ TEST(Cache, ClearDropsEntriesButKeepsCounters) {
   EXPECT_FALSE(cached_solve(*solver, small_problem(), params, cache).diagnostics.cache_hit);
 }
 
-TEST(Cache, BatchSolverPopulatesAndServesAnIsolatedCache) {
+TEST(Cache, SolveAllPopulatesAndServesAnIsolatedCache) {
   ResultCache cache(1024);
   const auto problem = std::make_shared<const core::Problem>(small_problem());
   std::vector<SolveRequest> requests;
@@ -203,9 +203,9 @@ TEST(Cache, BatchSolverPopulatesAndServesAnIsolatedCache) {
   }
 
   support::ThreadPool pool(4);
-  const auto cold = BatchSolver(&pool, &cache).solve_all(requests);
+  const auto cold = SolveService(&pool, &cache).solve_all(requests);
   EXPECT_EQ(cache.stats().hits, 0u);
-  const auto warm = BatchSolver(&pool, &cache).solve_all(requests);
+  const auto warm = SolveService(&pool, &cache).solve_all(requests);
   EXPECT_EQ(cache.stats().hits, requests.size());
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -246,6 +246,33 @@ TEST(Cache, WarmSweepRepeatResolvesNothing) {
       EXPECT_EQ(summary.mean, warm.points[p].period_by_method.at(name).mean) << name;
     }
   }
+}
+
+TEST(Cache, SweepThroughAnIsolatedBackendLeavesTheGlobalCacheAlone) {
+  // run_sweep solves through a SolveService over `options.backend`: every
+  // lookup and store lands there, none in the process-wide cache.
+  exp::SweepSpec spec = exp::scaled_down(exp::figure6_spec(), 10);  // 3 trials/point
+  spec.values = {10, 20};
+  ResultCache isolated(1024);
+  exp::SweepOptions options;
+  options.cache = CachePolicy::kReadWrite;
+  options.backend = &isolated;
+  support::ThreadPool pool(4);
+
+  const CacheStats global_before = ResultCache::global().stats();
+  const exp::SweepResult cold = exp::run_sweep(spec, options, &pool);
+  const exp::SweepResult warm = exp::run_sweep(spec, options, &pool);
+  const CacheStats global_after = ResultCache::global().stats();
+
+  const std::size_t solves = spec.values.size() * spec.trials * spec.methods.size();
+  const CacheStats stats = isolated.stats();
+  EXPECT_EQ(stats.misses, solves) << "cold run solves everything";
+  EXPECT_EQ(stats.hits, solves) << "warm run re-solves nothing";
+  EXPECT_EQ(stats.size, solves);
+  EXPECT_EQ(global_after.hits, global_before.hits);
+  EXPECT_EQ(global_after.misses, global_before.misses);
+  EXPECT_EQ(global_after.insertions, global_before.insertions);
+  EXPECT_EQ(warm.to_table().to_string(), cold.to_table().to_string());
 }
 
 }  // namespace

@@ -7,15 +7,18 @@
 // work cost one solve (single-flight across TCP connections), and a warm
 // daemon re-solves nothing.
 //
-// Live-daemon tests are parameterized over BOTH serving backends (the
-// epoll reactor and the thread-per-connection fallback), and a dedicated
-// test replays every refusal against both and demands byte-identical wire
-// responses. Byte-level abuse — dribbled headers, pipelined frames, idle
-// timeouts — is exercised through a raw socket, below the Client helper.
+// Live-daemon tests run against an in-process daemon on an ephemeral port.
+// A fixture test replays every deterministic refusal and pins the wire
+// responses to committed bytes. Byte-level abuse — dribbled headers,
+// pipelined frames, idle timeouts, a client hanging up mid-solve, a
+// reader too slow for the daemon's output — is exercised through a raw
+// socket, below the Client helper; `send_all`, the one blocking
+// socket-write helper, is tested on a socket pair.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -24,9 +27,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -312,6 +317,75 @@ TEST(ServeProtocol, ParseHostPort) {
 }
 
 // ---------------------------------------------------------------------------
+// send_all: the one blocking socket-write helper
+// ---------------------------------------------------------------------------
+
+TEST(ServeProtocol, SendAllToAHungUpPeerFailsWithEpipeNotSigpipe) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  // Without MSG_NOSIGNAL this write raises SIGPIPE and the test binary dies.
+  errno = 0;
+  EXPECT_FALSE(send_all(fds[0], frame_to_bytes({FrameType::kPing, ""})));
+  EXPECT_EQ(errno, EPIPE);
+  ::close(fds[0]);
+}
+
+TEST(ServeProtocol, SendAllDeliversEveryByteThroughSignalInterruptions) {
+  // A send() blocked on a full socket buffer and interrupted by a handler
+  // installed without SA_RESTART returns EINTR (nothing sent) or a short
+  // count; send_all must resume either way and deliver the payload exactly
+  // once, in order.
+  struct sigaction interrupt {};
+  interrupt.sa_handler = [](int) {};
+  ::sigemptyset(&interrupt.sa_mask);
+  interrupt.sa_flags = 0;
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &interrupt, &previous), 0);
+
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string payload(std::size_t{1} << 20, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>((i * 131 + i / 4096) & 0xff);
+  }
+
+  std::atomic<bool> done{false};
+  bool sent = false;
+  std::thread sender([&] {
+    sent = send_all(fds[0], payload);
+    ::shutdown(fds[0], SHUT_WR);  // a failed send must not strand the reader
+    done.store(true);
+  });
+  std::thread interrupter([&done, target = sender.native_handle()] {
+    while (!done.load()) {
+      ::pthread_kill(target, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+
+  // Read slowly, so the sender spends most of its time blocked in send().
+  std::string received;
+  char buffer[8192];
+  while (received.size() < payload.size()) {
+    const ::ssize_t got = ::read(fds[1], buffer, sizeof buffer);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;
+    received.append(buffer, static_cast<std::size_t>(got));
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  interrupter.join();
+  sender.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  ::close(fds[0]);
+  ::close(fds[1]);
+
+  EXPECT_TRUE(sent);
+  ASSERT_EQ(received.size(), payload.size());
+  EXPECT_TRUE(received == payload) << "payload reordered, duplicated or corrupted";
+}
+
+// ---------------------------------------------------------------------------
 // Rate limiter and latency histogram
 // ---------------------------------------------------------------------------
 
@@ -431,8 +505,9 @@ struct TestDaemon {
 };
 
 /// A bare client socket for byte-level protocol abuse: partial writes,
-/// dribbled headers, half-closes. MSG_NOSIGNAL everywhere — a test poking
-/// a daemon that hung up must see an error, not SIGPIPE.
+/// dribbled headers, half-closes. Writes go through `serve::send_all`
+/// (MSG_NOSIGNAL) — a test poking a daemon that hung up must see an error,
+/// not SIGPIPE.
 struct RawConn {
   int fd = -1;
 
@@ -453,20 +528,8 @@ struct RawConn {
   RawConn(const RawConn&) = delete;
   RawConn& operator=(const RawConn&) = delete;
 
-  /// Sends every byte (EINTR-retried); false when the peer is gone.
-  bool send_all(const std::string& bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ::ssize_t wrote =
-          ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-      if (wrote < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      sent += static_cast<std::size_t>(wrote);
-    }
-    return true;
-  }
+  /// Sends every byte; false when the peer is gone.
+  bool send_all(const std::string& bytes) { return serve::send_all(fd, bytes); }
 
   /// Half-closes the write side, so the daemon sees EOF after our bytes.
   void finish_writing() { ::shutdown(fd, SHUT_WR); }
@@ -492,15 +555,13 @@ struct RawConn {
 };
 
 /// One complete response frame read off a raw socket, normalized to the
-/// tuple the wire format determines bytes from — comparing these across
-/// backends IS comparing wire bytes (the header re-serializes canonically
-/// from type + body length).
+/// tuple the wire format determines bytes from — checking these IS
+/// checking wire bytes (the header re-serializes canonically from type +
+/// body length).
 struct WireObservation {
   ReadStatus status = ReadStatus::kMalformed;
   FrameType type = FrameType::kError;
   std::string body;
-
-  bool operator==(const WireObservation&) const = default;
 };
 
 WireObservation observe_response(RawConn& conn) {
@@ -514,25 +575,77 @@ WireObservation observe_response(RawConn& conn) {
   return seen;
 }
 
-/// Live-daemon tests run under BOTH serving backends: the epoll reactor
-/// and the thread-per-connection fallback must be observationally
-/// identical at the wire.
-class ServeDaemonBoth : public ::testing::TestWithParam<ServeBackend> {
- protected:
-  static DaemonOptions with_backend(DaemonOptions options = {}) {
-    options.backend = GetParam();
-    return options;
+/// Reads response frames off a socket in large chunks, for tests that
+/// stream tens of thousands of frames (`read_frame` reads headers a byte
+/// at a time). nullopt on EOF, a receive error or timeout, or a malformed
+/// header.
+class ResponseStream {
+ public:
+  explicit ResponseStream(int fd) : fd_(fd) {}
+
+  std::optional<Frame> next() {
+    for (;;) {
+      const std::size_t newline = buffer_.find('\n', pos_);
+      if (newline != std::string::npos) {
+        const HeaderParse header = parse_frame_header(
+            buffer_.substr(pos_, newline - pos_), kDefaultMaxFrameBytes);
+        if (header.status != ReadStatus::kOk) return std::nullopt;
+        const std::size_t body = newline + 1;
+        const std::size_t end = body + static_cast<std::size_t>(header.length);
+        if (buffer_.size() >= end) {
+          Frame frame{header.type, buffer_.substr(body, end - body)};
+          pos_ = end;
+          if (pos_ >= (std::size_t{1} << 20)) {
+            buffer_.erase(0, pos_);
+            pos_ = 0;
+          }
+          return frame;
+        }
+      }
+      char chunk[65536];
+      const ::ssize_t got = ::recv(fd_, chunk, sizeof chunk, 0);
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) return std::nullopt;
+      buffer_.append(chunk, static_cast<std::size_t>(got));
+    }
   }
+
+ private:
+  int fd_;
+  std::string buffer_;
+  std::size_t pos_ = 0;
 };
 
-INSTANTIATE_TEST_SUITE_P(Backends, ServeDaemonBoth,
-                         ::testing::Values(ServeBackend::kEpoll, ServeBackend::kThreads),
-                         [](const ::testing::TestParamInfo<ServeBackend>& info) {
-                           return to_string(info.param);
-                         });
+/// Polls `done` every millisecond; false when `seconds` pass first.
+template <typename Predicate>
+bool eventually(Predicate done, double seconds = 10.0) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
 
-TEST_P(ServeDaemonBoth, PingStatsAndSolveRoundTrip) {
-  TestDaemon server(with_backend());
+/// A solve for the `serve-gated` solver: it stays in flight until the test
+/// opens the gate, and then answers period seed + 0.25 (42.25 here).
+WireRequest gated_wire(solve::CachePolicy cache = solve::CachePolicy::kOff) {
+  WireRequest wire = sample_request();
+  wire.request.solver_id = "serve-gated";
+  wire.request.params.local_search = false;
+  wire.request.params.cache = cache;
+  return wire;
+}
+
+std::string solve_frame(const WireRequest& wire) {
+  return frame_to_bytes({FrameType::kSolve, request_to_text(wire)});
+}
+
+bool gated_solve_started() { return ServeGatedSolver::state().invocations.load() > 0; }
+
+TEST(ServeDaemon, PingStatsAndSolveRoundTrip) {
+  TestDaemon server;
   Client client("127.0.0.1", server.daemon->port());
   EXPECT_TRUE(client.ping());
 
@@ -560,16 +673,34 @@ TEST_P(ServeDaemonBoth, PingStatsAndSolveRoundTrip) {
   EXPECT_EQ(stats->service.solved, 1u);
   EXPECT_EQ(stats->latency_count, 1u);
   EXPECT_GE(stats->connections_total, 1u);
-  if (GetParam() == ServeBackend::kEpoll) {
-    // The reactor demonstrably multiplexed this exchange.
-    EXPECT_GT(stats->loop_wakeups, 0u);
-  }
+  // The reactor demonstrably multiplexed this exchange.
+  EXPECT_GT(stats->loop_wakeups, 0u);
 }
 
-TEST_P(ServeDaemonBoth, ConcurrentTwinsAcrossConnectionsShareOneFlight) {
+TEST(ServeDaemon, ConnectionGaugesCountOpensAndCloses) {
+  TestDaemon server;
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int i = 0; i < 3; ++i) {
+    clients.push_back(std::make_unique<Client>("127.0.0.1", server.daemon->port()));
+    ASSERT_TRUE(clients.back()->ping());  // accepted and registered
+  }
+  DaemonStatsSnapshot stats = server.daemon->stats_snapshot();
+  EXPECT_EQ(stats.connections_active, 3u);
+  EXPECT_EQ(stats.connections_total, 3u);
+
+  clients.resize(1);  // two clients hang up
+  ASSERT_TRUE(eventually([&] { return server.daemon->stats_snapshot().connections_active == 1; }));
+  // The wire `stats` endpoint reports the same gauges.
+  const std::optional<DaemonStatsSnapshot> remote = clients[0]->stats();
+  ASSERT_TRUE(remote.has_value());
+  EXPECT_EQ(remote->connections_active, 1u);
+  EXPECT_EQ(remote->connections_total, 3u);
+}
+
+TEST(ServeDaemon, ConcurrentTwinsAcrossConnectionsShareOneFlight) {
   ensure_gated_solver();
   GateGuard gate;
-  TestDaemon server(with_backend());
+  TestDaemon server;
 
   WireRequest wire = sample_request();
   wire.request.solver_id = "serve-gated";
@@ -613,8 +744,8 @@ TEST_P(ServeDaemonBoth, ConcurrentTwinsAcrossConnectionsShareOneFlight) {
   EXPECT_EQ(stats->service.dedup_joined, kClients - 1u);
 }
 
-TEST_P(ServeDaemonBoth, WarmDaemonRepeatedClientsCostZeroNewSolves) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, WarmDaemonRepeatedClientsCostZeroNewSolves) {
+  TestDaemon server;
   WireRequest wire = sample_request();
   wire.request.params.local_search = false;
   wire.request.params.cache = solve::CachePolicy::kReadWrite;
@@ -650,8 +781,8 @@ TEST_P(ServeDaemonBoth, WarmDaemonRepeatedClientsCostZeroNewSolves) {
   EXPECT_GE(stats->service.cache_hits, 5u);
 }
 
-TEST_P(ServeDaemonBoth, MalformedBytesGetErrorResponsesAndTheDaemonSurvives) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, MalformedBytesGetErrorResponsesAndTheDaemonSurvives) {
+  TestDaemon server;
   {
     // Garbage magic: error response, then the daemon hangs up.
     Client client("127.0.0.1", server.daemon->port());
@@ -690,10 +821,10 @@ TEST_P(ServeDaemonBoth, MalformedBytesGetErrorResponsesAndTheDaemonSurvives) {
   EXPECT_TRUE(client.solve(wire).ok);
 }
 
-TEST_P(ServeDaemonBoth, QueueFullRejectionIsExplicit) {
+TEST(ServeDaemon, QueueFullRejectionIsExplicit) {
   DaemonOptions options;
   options.max_pending = 0;  // reject every solve
-  TestDaemon server(with_backend(options));
+  TestDaemon server(options);
   Client client("127.0.0.1", server.daemon->port());
   const Client::Outcome outcome = client.solve(sample_request());
   ASSERT_FALSE(outcome.ok);
@@ -704,11 +835,11 @@ TEST_P(ServeDaemonBoth, QueueFullRejectionIsExplicit) {
   EXPECT_EQ(stats->service.submitted, 0u);  // refused before submit()
 }
 
-TEST_P(ServeDaemonBoth, RateLimitRejectionIsPerClient) {
+TEST(ServeDaemon, RateLimitRejectionIsPerClient) {
   DaemonOptions options;
   options.rate_capacity = 1.0;  // one request, then dry
   options.rate_refill_per_sec = 0.0;
-  TestDaemon server(with_backend(options));
+  TestDaemon server(options);
 
   WireRequest wire = sample_request();
   wire.request.params.local_search = false;
@@ -730,15 +861,17 @@ TEST_P(ServeDaemonBoth, RateLimitRejectionIsPerClient) {
   EXPECT_EQ(stats->service.rejected_rate_limited, 1u);
 }
 
-TEST_P(ServeDaemonBoth, DrainRefusesNewWorkAndStopsAccepting) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, DrainRefusesNewWorkAndStopsAccepting) {
+  TestDaemon server;
   const std::uint16_t port = server.daemon->port();
-  {
-    Client client("127.0.0.1", port);
-    ASSERT_TRUE(client.ping());
-  }
+  Client client("127.0.0.1", port);
+  ASSERT_TRUE(client.ping());
   server.daemon->drain();
   server.daemon->wait();
+  // The drain closed the idle connection. Writing to it again is a failed
+  // round-trip, never a SIGPIPE: the client sends with MSG_NOSIGNAL.
+  EXPECT_FALSE(client.ping());
+  EXPECT_FALSE(client.ping());
   // The listen socket is down: new connections fail outright.
   EXPECT_THROW(Client("127.0.0.1", port), std::runtime_error);
   // Stats remain readable in-process after the drain.
@@ -746,8 +879,8 @@ TEST_P(ServeDaemonBoth, DrainRefusesNewWorkAndStopsAccepting) {
   EXPECT_EQ(stats.connections_active, 0u);
 }
 
-TEST_P(ServeDaemonBoth, RemoteExecutorMatchesLocalBatchBitForBit) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, RemoteExecutorMatchesLocalBatchBitForBit) {
+  TestDaemon server;
   RemoteExecutorOptions remote_options;
   remote_options.port = server.daemon->port();
   remote_options.connections = 3;
@@ -785,8 +918,8 @@ TEST_P(ServeDaemonBoth, RemoteExecutorMatchesLocalBatchBitForBit) {
 // Byte-level abuse: partial frames, slow-loris dribblers, idle timeouts
 // ---------------------------------------------------------------------------
 
-TEST_P(ServeDaemonBoth, SlowLorisDribblerDoesNotStallOtherClients) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, SlowLorisDribblerDoesNotStallOtherClients) {
+  TestDaemon server;
   // A dribbler parks mid-header and goes quiet...
   RawConn dribbler(server.daemon->port());
   ASSERT_TRUE(dribbler.send_all("mf-serve/1 pi"));
@@ -807,8 +940,8 @@ TEST_P(ServeDaemonBoth, SlowLorisDribblerDoesNotStallOtherClients) {
   EXPECT_EQ(pong.body, "pong\n");
 }
 
-TEST_P(ServeDaemonBoth, PartialAndPipelinedFramesKeepBoundaries) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, PartialAndPipelinedFramesKeepBoundaries) {
+  TestDaemon server;
   RawConn conn(server.daemon->port());
 
   // One byte per write: the frame assembles across arbitrarily bad
@@ -834,31 +967,80 @@ TEST_P(ServeDaemonBoth, PartialAndPipelinedFramesKeepBoundaries) {
   EXPECT_TRUE(stats_from_text(seen.body).has_value());
 }
 
-TEST_P(ServeDaemonBoth, IdleTimeoutClosesAStalledConnection) {
+TEST(ServeDaemon, SlowReaderGetsEveryPipelinedResponseInOrder) {
+  // A client pipelines requests and reads nothing until the daemon's
+  // output backs up: send() hits EAGAIN, the rest waits in the
+  // connection's buffer (the backpressure gauge) and the daemon stops
+  // reading that client. How much the kernel absorbs first depends on the
+  // host's socket buffer limits, so the client keeps pipelining until the
+  // gauge moves. Once it reads, every response arrives — none lost,
+  // duplicated or reordered — and the gauge returns to zero.
+  TestDaemon server;
+  RawConn conn(server.daemon->port());
+  const int receive_buffer = 16 << 10;  // fixed size: no receive autotuning
+  ::setsockopt(conn.fd, SOL_SOCKET, SO_RCVBUF, &receive_buffer, sizeof receive_buffer);
+  timeval receive_timeout{};
+  receive_timeout.tv_sec = 10;  // a stalled daemon fails the test, not hangs it
+  ::setsockopt(conn.fd, SOL_SOCKET, SO_RCVTIMEO, &receive_timeout, sizeof receive_timeout);
+
+  constexpr int kBatch = 500;        // ping + stats pairs per write (~19 KB)
+  constexpr int kMaxPairs = 200000;  // ~60 MB of answers, past any default buffer cap
+  std::string batch;
+  for (int i = 0; i < kBatch; ++i) {
+    batch += frame_to_bytes({FrameType::kPing, ""});
+    batch += frame_to_bytes({FrameType::kStats, ""});
+  }
+  // Each batch waits for the daemon to wake up and read before the next
+  // goes out, so the requests never pile up unread in the daemon's receive
+  // buffer, and a batch always fits the kernel buffers: the writes cannot
+  // block even once the daemon stops reading.
+  const auto gauge_moved = [&] { return server.daemon->stats_snapshot().backpressure_bytes > 0; };
+  int pairs_sent = 0;
+  while (!gauge_moved() && pairs_sent < kMaxPairs) {
+    const std::uint64_t wakeups = server.daemon->stats_snapshot().loop_wakeups;
+    ASSERT_TRUE(conn.send_all(batch));
+    pairs_sent += kBatch;
+    ASSERT_TRUE(eventually([&] {
+      return gauge_moved() || server.daemon->stats_snapshot().loop_wakeups > wakeups;
+    })) << "the daemon stopped reading with no output backed up";
+  }
+  ASSERT_TRUE(eventually(gauge_moved, 5.0))
+      << "the daemon's output never backed up after " << pairs_sent << " request pairs";
+
+  ResponseStream responses(conn.fd);
+  for (int pair = 0; pair < pairs_sent; ++pair) {
+    const std::optional<Frame> pong = responses.next();
+    ASSERT_TRUE(pong.has_value()) << "pair " << pair;
+    ASSERT_EQ(pong->type, FrameType::kOk) << "pair " << pair;
+    ASSERT_EQ(pong->body, "pong\n") << "pair " << pair;
+    const std::optional<Frame> counters = responses.next();
+    ASSERT_TRUE(counters.has_value()) << "pair " << pair;
+    ASSERT_EQ(counters->type, FrameType::kOk) << "pair " << pair;
+    ASSERT_TRUE(stats_from_text(counters->body).has_value()) << "pair " << pair;
+  }
+  EXPECT_TRUE(eventually([&] { return server.daemon->stats_snapshot().backpressure_bytes == 0; }))
+      << "backpressure gauge leaked";
+}
+
+TEST(ServeDaemon, IdleTimeoutClosesAStalledConnection) {
   DaemonOptions options;
   options.idle_timeout_seconds = 0.2;
-  TestDaemon server(with_backend(options));
+  TestDaemon server(options);
 
   RawConn stalled(server.daemon->port());
   ASSERT_TRUE(stalled.send_all("mf-serve/1 s"));  // mid-header, then silence
-  // The daemon hangs up on its own (the threads backend may send a
-  // bad-request first — its receive timeout surfaces as a read error —
-  // but the close is what matters).
+  // The daemon hangs up on its own, and counts it.
   EXPECT_TRUE(stalled.drain_until_eof(5.0));
-  if (GetParam() == ServeBackend::kEpoll) {
-    EXPECT_GE(server.daemon->stats_snapshot().idle_closes, 1u);
-  }
+  EXPECT_GE(server.daemon->stats_snapshot().idle_closes, 1u);
 }
 
-TEST(ServeDaemonEpoll, ByteDribbleCannotEvadeFrameIdleClock) {
-  // The epoll backend counts idleness frame-to-frame, so a slow-loris
-  // client feeding one byte at a time — always faster than any per-read
-  // timeout — is still closed on schedule. (The threads backend's
-  // SO_RCVTIMEO approximation is refreshed per byte; this guarantee is
-  // the reactor's alone, hence no TEST_P.)
+TEST(ServeDaemon, ByteDribbleCannotEvadeFrameIdleClock) {
+  // The daemon counts idleness frame-to-frame, so a slow-loris client
+  // feeding one byte at a time — always faster than any per-read timeout —
+  // is still closed on schedule.
   DaemonOptions options;
   options.idle_timeout_seconds = 0.3;
-  TestDaemon server(options);  // default backend: epoll
+  TestDaemon server(options);
 
   RawConn dribbler(server.daemon->port());
   timeval tv{};
@@ -885,9 +1067,50 @@ TEST(ServeDaemonEpoll, ByteDribbleCannotEvadeFrameIdleClock) {
   EXPECT_GE(server.daemon->stats_snapshot().idle_closes, 1u);
 }
 
-TEST_P(ServeDaemonBoth, OversizedFrameIsRefusedBeforeItsBodyArrives) {
+TEST(ServeDaemon, IdleTimeoutSparesAClientThatKeepsCompletingFrames) {
+  // The other side of the frame clock: a client that completes a frame
+  // well inside every timeout window is never closed, however long it
+  // stays connected.
   DaemonOptions options;
-  TestDaemon server(with_backend(options));
+  options.idle_timeout_seconds = 0.5;
+  TestDaemon server(options);
+  Client client("127.0.0.1", server.daemon->port());
+  const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  int pings = 0;
+  while (std::chrono::steady_clock::now() < until) {
+    ASSERT_TRUE(client.ping()) << "closed after " << pings << " pings";
+    ++pings;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_EQ(server.daemon->stats_snapshot().idle_closes, 0u);
+}
+
+TEST(ServeDaemon, IdleTimeoutExemptsAConnectionWithASolveInFlight) {
+  // A client waiting on a long solve is silent because the daemon is busy,
+  // not because the client stalled: the idle clock must not close it.
+  ensure_gated_solver();
+  GateGuard gate;
+  DaemonOptions options;
+  options.idle_timeout_seconds = 0.2;
+  TestDaemon server(options);
+  RawConn conn(server.daemon->port());
+  ASSERT_TRUE(conn.send_all(solve_frame(gated_wire())));
+  ASSERT_TRUE(eventually(gated_solve_started)) << "solve never started";
+  std::this_thread::sleep_for(std::chrono::milliseconds(800));  // four timeouts
+  EXPECT_EQ(server.daemon->stats_snapshot().idle_closes, 0u);
+
+  ServeGatedSolver::state().release();
+  const WireObservation seen = observe_response(conn);
+  ASSERT_EQ(seen.status, ReadStatus::kOk);
+  EXPECT_EQ(seen.type, FrameType::kOk);
+  const auto entry = solve::entry_from_text(seen.body);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->second.period, 42.25);
+}
+
+TEST(ServeDaemon, OversizedFrameIsRefusedBeforeItsBodyArrives) {
+  DaemonOptions options;
+  TestDaemon server(options);
   RawConn conn(server.daemon->port());
   // Header only — the declared body is never sent, so a daemon that
   // buffered before refusing would hang here instead of answering.
@@ -903,12 +1126,13 @@ TEST_P(ServeDaemonBoth, OversizedFrameIsRefusedBeforeItsBodyArrives) {
   EXPECT_TRUE(conn.drain_until_eof(2.0));
 }
 
-TEST(ServeDaemon, BackendsAnswerTheWireByteIdentically) {
-  // Every refusal the admission gauntlet and the frame readers can emit,
-  // replayed against both backends: status, frame type, and body must
-  // match byte for byte. (`draining` and `internal` come from code both
-  // backends share — admit_solve and identical catch blocks — and have no
-  // deterministic wire trigger, so they are covered by construction.)
+TEST(ServeDaemon, RefusalsMatchTheWireFixture) {
+  // Every refusal the admission gauntlet and the frame reader can emit
+  // deterministically, replayed against a live daemon: each response must
+  // be an `error` frame whose body matches the fixture byte for byte. The
+  // fixture is the wire contract; changing a body here is a protocol
+  // change. (`draining` and `internal` have no deterministic wire
+  // trigger.)
   DaemonOptions options;
   options.max_pending = 0;      // any admitted solve → queue-full
   options.rate_capacity = 1.0;  // second solve from one client → rate-limited
@@ -921,69 +1145,197 @@ TEST(ServeDaemon, BackendsAnswerTheWireByteIdentically) {
     const char* name;
     std::string bytes;
     bool half_close;
-    int responses;
+    std::vector<std::string> bodies;  ///< the fixture: one per response
   };
   const std::vector<Probe> probes = {
-      {"bad-magic", "GET / HTTP/1.1\r\n", false, 1},
-      {"unknown-type", "mf-serve/1 shout 0\n", false, 1},
-      {"unparsable-length", "mf-serve/1 solve many\n", false, 1},
-      {"negative-length", "mf-serve/1 solve -1\n", false, 1},
-      {"trailing-token", "mf-serve/1 solve 0 extra\n", false, 1},
-      {"oversized-header", std::string(200, 'x'), true, 1},
-      {"declared-too-large",
-       "mf-serve/1 solve " + std::to_string(options.max_frame_bytes + 1) + "\n", false,
-       1},
-      {"truncated-body", "mf-serve/1 solve 10\nabc", true, 1},
-      {"response-type-frame", "mf-serve/1 ok 0\n", false, 1},
+      {"bad-magic", "GET / HTTP/1.1\r\n", false,
+       {"bad-request bad magic 'GET' (want mf-serve/1)\n"}},
+      {"unknown-type", "mf-serve/1 shout 0\n", false,
+       {"bad-request unknown frame type 'shout'\n"}},
+      {"unparsable-length", "mf-serve/1 solve many\n", false,
+       {"bad-request unparsable content length 'many'\n"}},
+      {"negative-length", "mf-serve/1 solve -1\n", false,
+       {"bad-request unparsable content length '-1'\n"}},
+      {"trailing-token", "mf-serve/1 solve 0 extra\n", false,
+       {"bad-request trailing tokens in frame header\n"}},
+      {"oversized-header", std::string(200, 'x'), true,
+       {"bad-request frame header exceeds 128 bytes\n"}},
+      {"declared-too-large", "mf-serve/1 solve 4194305\n", false,
+       {"too-large declared body of 4194305 bytes exceeds limit of 4194304\n"}},
+      {"truncated-body", "mf-serve/1 solve 10\nabc", true,
+       {"bad-request truncated body (declared 10 bytes)\n"}},
+      {"response-type-frame", "mf-serve/1 ok 0\n", false,
+       {"bad-request frame type 'ok' is not a request\n"}},
       {"unparsable-solve-body", frame_to_bytes({FrameType::kSolve, "garbage\n"}), false,
-       1},
+       {"bad-request malformed solve request body\n"}},
       // One pipelined write, two refusals: the first admitted solve hits
       // the zero-length pending queue, the retry has drained its bucket.
-      {"queue-full-then-rate-limited", solve_bytes + solve_bytes, false, 2},
+      {"queue-full-then-rate-limited", solve_bytes + solve_bytes, false,
+       {"queue-full pending queue at capacity (0)\n",
+        "rate-limited client 'test-client' exceeded its request budget\n"}},
   };
+  ASSERT_EQ(options.max_frame_bytes, 4194304u) << "fixture assumes the default cap";
 
-  const auto run_probes = [&](ServeBackend backend) {
-    DaemonOptions backend_options = options;
-    backend_options.backend = backend;
-    TestDaemon server(backend_options);
-    std::vector<std::vector<WireObservation>> seen;
-    for (const Probe& probe : probes) {
-      RawConn conn(server.daemon->port());
-      EXPECT_TRUE(conn.send_all(probe.bytes)) << probe.name;
-      if (probe.half_close) conn.finish_writing();
-      std::vector<WireObservation> responses;
-      for (int i = 0; i < probe.responses; ++i) {
-        responses.push_back(observe_response(conn));
-      }
-      seen.push_back(std::move(responses));
-    }
-    return seen;
-  };
-
-  const auto epoll_seen = run_probes(ServeBackend::kEpoll);
-  const auto threads_seen = run_probes(ServeBackend::kThreads);
-  ASSERT_EQ(epoll_seen.size(), probes.size());
-  ASSERT_EQ(threads_seen.size(), probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(epoll_seen[i], threads_seen[i]) << probes[i].name;
-    for (const WireObservation& response : epoll_seen[i]) {
-      EXPECT_EQ(response.status, ReadStatus::kOk) << probes[i].name;
-      EXPECT_EQ(response.type, FrameType::kError) << probes[i].name;
+  TestDaemon server(options);
+  for (const Probe& probe : probes) {
+    RawConn conn(server.daemon->port());
+    EXPECT_TRUE(conn.send_all(probe.bytes)) << probe.name;
+    if (probe.half_close) conn.finish_writing();
+    for (const std::string& body : probe.bodies) {
+      const WireObservation seen = observe_response(conn);
+      EXPECT_EQ(seen.status, ReadStatus::kOk) << probe.name;
+      EXPECT_EQ(seen.type, FrameType::kError) << probe.name;
+      EXPECT_EQ(seen.body, body) << probe.name;
     }
   }
-  // The six-code sweep: every code the protocol defines except the two
-  // shared-by-construction ones appeared above.
-  const auto code_of = [&](const WireObservation& seen) {
-    const auto parsed = parse_error_body(seen.body);
-    return parsed.has_value() ? parsed->first : std::string{};
-  };
-  EXPECT_EQ(code_of(epoll_seen[0][0]), kErrBadRequest);
-  EXPECT_EQ(code_of(epoll_seen[6][0]), kErrTooLarge);
-  EXPECT_EQ(code_of(epoll_seen[10][0]), kErrQueueFull);
-  EXPECT_EQ(code_of(epoll_seen[10][1]), kErrRateLimited);
 }
 
-TEST(ServeDaemonEpoll, GcTimerCompactsTheDiskCachePeriodically) {
+TEST(ServeDaemon, ClientHangingUpMidSolveDoesNotKillTheDaemon) {
+  // A client pipelines a solve and a ping, then closes its socket while
+  // the solve is still running. When the solve finishes, the daemon writes
+  // the response and then the pong to a peer that is gone; the second
+  // write fails with EPIPE. Without MSG_NOSIGNAL that is a SIGPIPE, which
+  // kills the daemon's whole process (here: this test binary).
+  ensure_gated_solver();
+  GateGuard gate;
+  TestDaemon server;
+  {
+    RawConn quitter(server.daemon->port());
+    ASSERT_TRUE(quitter.send_all(solve_frame(gated_wire()) +
+                                 frame_to_bytes({FrameType::kPing, ""})));
+    ASSERT_TRUE(eventually(gated_solve_started)) << "solve never started";
+  }  // the quitter hangs up with its solve still in flight
+  ServeGatedSolver::state().release();
+
+  // The daemon retires the dead connection once its writes fail...
+  ASSERT_TRUE(eventually([&] { return server.daemon->stats_snapshot().connections_active == 0; }))
+      << "dead connection never retired";
+  // ...and is still alive to serve the next one.
+  Client client("127.0.0.1", server.daemon->port());
+  EXPECT_TRUE(client.ping());
+}
+
+TEST(ServeDaemon, HungUpClientsSolveReleasesItsPendingSlot) {
+  // The pending slot belongs to the solve, not to the connection: an
+  // abandoned solve holds it while it runs and gives it back when it
+  // finishes, although nobody is left to answer.
+  ensure_gated_solver();
+  GateGuard gate;
+  DaemonOptions options;
+  options.max_pending = 1;
+  TestDaemon server(options);
+  {
+    RawConn quitter(server.daemon->port());
+    ASSERT_TRUE(quitter.send_all(solve_frame(gated_wire())));
+    ASSERT_TRUE(eventually(gated_solve_started)) << "solve never started";
+  }
+
+  WireRequest wire = sample_request();
+  wire.request.params.local_search = false;
+  Client client("127.0.0.1", server.daemon->port());
+  const Client::Outcome refused = client.solve(wire);
+  ASSERT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error_code, kErrQueueFull);
+
+  ServeGatedSolver::state().release();
+  ASSERT_TRUE(eventually([&] { return server.daemon->stats_snapshot().pending == 0; }))
+      << "the abandoned solve kept its pending slot";
+  const Client::Outcome admitted = client.solve(wire);
+  EXPECT_TRUE(admitted.ok) << admitted.error_code << ": " << admitted.detail;
+}
+
+TEST(ServeDaemon, HungUpClientsSolveStillLandsInTheCache) {
+  // The solve outlives the client that asked for it, and its result is
+  // stored: the next client asking for the same identity costs no solve.
+  ensure_gated_solver();
+  GateGuard gate;
+  TestDaemon server;
+  const WireRequest wire = gated_wire(solve::CachePolicy::kReadWrite);
+  {
+    RawConn quitter(server.daemon->port());
+    ASSERT_TRUE(quitter.send_all(solve_frame(wire)));
+    ASSERT_TRUE(eventually(gated_solve_started)) << "solve never started";
+  }
+  ServeGatedSolver::state().release();
+  ASSERT_TRUE(eventually([&] {
+    const DaemonStatsSnapshot stats = server.daemon->stats_snapshot();
+    return stats.pending == 0 && stats.connections_active == 0;
+  }));
+
+  Client client("127.0.0.1", server.daemon->port());
+  const Client::Outcome outcome = client.solve(wire);
+  ASSERT_TRUE(outcome.ok) << outcome.error_code << ": " << outcome.detail;
+  EXPECT_EQ(outcome.result.period, 42.25);
+  EXPECT_EQ(ServeGatedSolver::state().invocations.load(), 1);
+  EXPECT_EQ(server.daemon->stats_snapshot().service.solved, 1u);
+}
+
+TEST(ServeDaemon, SolveOnAConnectionTheDrainClosedIsAClosedOutcome) {
+  TestDaemon server;
+  Client client("127.0.0.1", server.daemon->port());
+  ASSERT_TRUE(client.ping());
+  server.daemon->drain();
+  server.daemon->wait();
+  // The request goes out (or fails to) on a socket the daemon closed; the
+  // client reports that as an outcome, not an exception or a signal.
+  WireRequest wire = sample_request();
+  wire.request.params.local_search = false;
+  const Client::Outcome outcome = client.solve(wire);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.error_code, "closed");
+  EXPECT_EQ(server.daemon->stats_snapshot().service.submitted, 0u);
+}
+
+TEST(ServeDaemon, DrainLetsAnInFlightSolveFinishAndFlush) {
+  ensure_gated_solver();
+  GateGuard gate;
+  TestDaemon server;
+  RawConn conn(server.daemon->port());
+  EXPECT_TRUE(conn.send_all(solve_frame(gated_wire())));
+  EXPECT_TRUE(eventually(gated_solve_started)) << "solve never started";
+
+  // No ASSERT until the gate opens: the pending wait() below would
+  // otherwise block the test's exit.
+  server.daemon->drain();
+  std::future<void> waited = std::async(std::launch::async, [&] { server.daemon->wait(); });
+  EXPECT_EQ(waited.wait_for(std::chrono::milliseconds(200)), std::future_status::timeout)
+      << "the drain retired the reactor with a solve in flight";
+  ServeGatedSolver::state().release();
+
+  // The answer still reaches the client, then the daemon hangs up.
+  const WireObservation seen = observe_response(conn);
+  ASSERT_EQ(seen.status, ReadStatus::kOk);
+  EXPECT_EQ(seen.type, FrameType::kOk);
+  const auto entry = solve::entry_from_text(seen.body);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->second.period, 42.25);
+  EXPECT_TRUE(conn.drain_until_eof(5.0));
+  EXPECT_EQ(waited.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+}
+
+TEST(ServeDaemon, UnknownSolverRefusalReleasesItsSlotAndKeepsTheConnection) {
+  // An unknown solver id passes admission (it is a well-formed request)
+  // and fails at submit: the slot it claimed must come back, and the
+  // connection must stay in sync for the next frame.
+  DaemonOptions options;
+  options.max_pending = 1;
+  TestDaemon server(options);
+  Client client("127.0.0.1", server.daemon->port());
+  WireRequest wire = sample_request();
+  wire.request.params.local_search = false;
+  WireRequest unknown = wire;
+  unknown.request.solver_id = "no-such-solver";
+  for (int i = 0; i < 3; ++i) {
+    const Client::Outcome refused = client.solve(unknown);
+    ASSERT_FALSE(refused.ok) << i;
+    EXPECT_EQ(refused.error_code, kErrBadRequest) << i;  // never queue-full
+  }
+  EXPECT_EQ(server.daemon->stats_snapshot().pending, 0u);
+  const Client::Outcome admitted = client.solve(wire);
+  EXPECT_TRUE(admitted.ok) << admitted.error_code << ": " << admitted.detail;
+}
+
+TEST(ServeDaemon, GcTimerCompactsTheDiskCachePeriodically) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "mf-serve-gc-timer-test";
   std::filesystem::remove_all(dir);
@@ -1021,8 +1373,8 @@ TEST(ServeDaemonEpoll, GcTimerCompactsTheDiskCachePeriodically) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_P(ServeDaemonBoth, RemoteExecutorSurfacesUnknownSolverAsErrorResult) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, RemoteExecutorSurfacesUnknownSolverAsErrorResult) {
+  TestDaemon server;
   RemoteExecutorOptions remote_options;
   remote_options.port = server.daemon->port();
   RemoteExecutor remote(remote_options);

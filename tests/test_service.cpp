@@ -20,6 +20,7 @@
 #include "solve/cache.hpp"
 #include "solve/registry.hpp"
 #include "solve/service.hpp"
+#include "solve/solver.hpp"
 #include "support/thread_pool.hpp"
 
 namespace mf::solve {
@@ -395,6 +396,32 @@ TEST(SolveService, PooledAndSerialBatchesAgreeBitForBit) {
               std::bit_cast<std::uint64_t>(loop[i].period))
         << i;
   }
+}
+
+TEST(SolveService, SolveAllLeavesFinalSeedsAloneWhenDerivationIsOff) {
+  // Sweeps compute content-addressed seeds themselves and switch the
+  // derivation off: solve_all must hand those solvers the seed as given,
+  // while a deriving request at the same batch gets stream_seed(seed, i).
+  const auto problem = std::make_shared<const core::Problem>(small_problem());
+  std::vector<SolveRequest> requests(3);
+  for (SolveRequest& request : requests) {
+    request.problem = problem;
+    request.solver_id = "H1";  // randomized: the mapping follows the seed
+    request.params.seed = 5;
+  }
+  requests[0].derive_stream_seed = false;
+  requests[1].derive_stream_seed = false;
+
+  ResultCache cache(64);
+  support::ThreadPool pool(2);
+  const std::vector<SolveResult> results = SolveService(&pool, &cache).solve_all(requests);
+  ASSERT_EQ(results.size(), requests.size());
+  const SolveResult as_given = run(*problem, "H1", {.seed = 5});
+  const SolveResult derived = run(*problem, "H1", {.seed = SolveService::stream_seed(5, 2)});
+  ASSERT_TRUE(as_given.has_mapping());
+  EXPECT_EQ(results[0].mapping, as_given.mapping);
+  EXPECT_EQ(results[1].mapping, as_given.mapping);
+  EXPECT_EQ(results[2].mapping, derived.mapping);
 }
 
 TEST(SolveService, DestructorDrainsOutstandingFlights) {

@@ -1,7 +1,7 @@
 // Tests for the unified solver API: registry lookup and error reporting,
 // adapter status codes (infeasible, budget-exhausted, optimal), "+ls"
-// composition, and BatchSolver determinism across serial and pooled
-// execution.
+// composition, and batch (`SolveService::solve_all`) determinism across
+// serial and pooled execution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,8 +13,8 @@
 #include "exp/scenario.hpp"
 #include "heuristics/heuristic.hpp"
 #include "solve/adapters.hpp"
-#include "solve/batch.hpp"
 #include "solve/registry.hpp"
+#include "solve/service.hpp"
 #include "solve/solver.hpp"
 #include "test_helpers.hpp"
 
@@ -229,9 +229,9 @@ TEST(Batch, PooledExecutionMatchesSequentialLoop) {
   const auto problem = std::make_shared<const core::Problem>(medium_problem());
   const auto requests = mixed_requests(problem);
 
-  const std::vector<SolveResult> serial = BatchSolver(nullptr).solve_all(requests);
+  const std::vector<SolveResult> serial = SolveService(nullptr).solve_all(requests);
   support::ThreadPool pool(4);
-  const std::vector<SolveResult> pooled = BatchSolver(&pool).solve_all(requests);
+  const std::vector<SolveResult> pooled = SolveService(&pool).solve_all(requests);
 
   ASSERT_EQ(serial.size(), requests.size());
   ASSERT_EQ(pooled.size(), requests.size());
@@ -244,7 +244,7 @@ TEST(Batch, PooledExecutionMatchesSequentialLoop) {
   // And both match hand-rolled sequential facade calls on the same streams.
   for (std::size_t i = 0; i < requests.size(); ++i) {
     SolveParams params = requests[i].params;
-    params.seed = BatchSolver::stream_seed(params.seed, i);
+    params.seed = SolveService::stream_seed(params.seed, i);
     const SolveResult direct = run(*problem, requests[i].solver_id, params);
     EXPECT_EQ(direct.mapping, serial[i].mapping) << i;
   }
@@ -252,7 +252,7 @@ TEST(Batch, PooledExecutionMatchesSequentialLoop) {
 
 TEST(Batch, IdenticalSeedsStillGetIndependentStreams) {
   const auto problem = std::make_shared<const core::Problem>(medium_problem());
-  const auto results = BatchSolver(nullptr).solve_all(mixed_requests(problem));
+  const auto results = SolveService(nullptr).solve_all(mixed_requests(problem));
   // Requests 0 and 1 are both H1 with the same base seed; the index mix
   // must decorrelate them (equal mappings would be a one-in-millions fluke).
   ASSERT_TRUE(results[0].has_mapping());
@@ -279,7 +279,7 @@ TEST(Batch, SolverExceptionBecomesPerRequestErrorResult) {
   // One bad request must not kill the batch — serial or pooled.
   support::ThreadPool pool(4);
   for (support::ThreadPool* p : {static_cast<support::ThreadPool*>(nullptr), &pool}) {
-    const std::vector<SolveResult> results = BatchSolver(p).solve_all(requests);
+    const std::vector<SolveResult> results = SolveService(p).solve_all(requests);
     ASSERT_EQ(results.size(), requests.size());
     EXPECT_EQ(results[2].status, Status::kError);
     EXPECT_FALSE(results[2].has_mapping());
@@ -302,17 +302,17 @@ TEST(Batch, UnknownSolverFailsTheBatchUpFront) {
   const auto problem = std::make_shared<const core::Problem>(medium_problem());
   std::vector<SolveRequest> requests = mixed_requests(problem);
   requests[3].solver_id = "H9";
-  EXPECT_THROW((void)BatchSolver(nullptr).solve_all(requests), std::invalid_argument);
+  EXPECT_THROW((void)SolveService(nullptr).solve_all(requests), std::invalid_argument);
 }
 
 TEST(Batch, NullProblemIsRejected) {
   std::vector<SolveRequest> requests(1);
   requests[0].solver_id = "H2";
-  EXPECT_THROW((void)BatchSolver(nullptr).solve_all(requests), std::invalid_argument);
+  EXPECT_THROW((void)SolveService(nullptr).solve_all(requests), std::invalid_argument);
 }
 
 TEST(Batch, EmptyBatchIsFine) {
-  EXPECT_TRUE(BatchSolver(nullptr).solve_all({}).empty());
+  EXPECT_TRUE(SolveService(nullptr).solve_all({}).empty());
 }
 
 TEST(Method, WrapsRegistrySolvers) {
