@@ -5,8 +5,15 @@
 // failure rates do not depend on the machine (f_{i,u} = f_i, the Section 7.2
 // setting): the x_i are then mapping-independent and the period of a
 // one-to-one mapping is max_i x_i * w_{i,a(i)} — a bottleneck assignment on
-// costs c(i,u) = x_i * w_{i,u}. Solved by binary search on the sorted
-// distinct costs with a Hopcroft-Karp feasibility probe per step.
+// costs c(i,u) = x_i * w_{i,u}.
+//
+// Solved bound-first: the threshold starts at max over rows of the row
+// minimum (and, when square, over columns of the column minimum), which no
+// perfect matching can beat. One Hopcroft-Karp matching on the edges under
+// it is then grown by minimax augmenting paths, each raising the threshold
+// to the smallest value that admits a larger matching, until it reaches the
+// optimum b*. The returned assignment is the Hopcroft-Karp matching on the
+// edges with cost <= b*, so it does not depend on the augmenting paths.
 #pragma once
 
 #include "exact/hungarian.hpp"

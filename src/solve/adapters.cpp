@@ -72,8 +72,13 @@ class OneToOneSolver final : public Solver {
     if (!exact::has_machine_independent_failures(problem)) {
       return infeasible("failures are machine-dependent: OtO precondition does not hold");
     }
-    return with_mapping(problem, exact::optimal_one_to_one_task_failures(problem).mapping,
-                        Status::kOptimal);
+    // The solver already scored its mapping with core::period; reuse it.
+    exact::OneToOneSolution solution = exact::optimal_one_to_one_task_failures(problem);
+    SolveResult result;
+    result.status = Status::kOptimal;
+    result.period = solution.period;
+    result.mapping = std::move(solution.mapping);
+    return result;
   }
 };
 

@@ -112,6 +112,47 @@ TEST(Bottleneck, RejectsBadShapes) {
   EXPECT_THROW(solve_bottleneck_assignment(wide), std::invalid_argument);
 }
 
+TEST(Bottleneck, AugmentsPastTheLowerBound) {
+  // Both rows are cheapest in column 0, so the row bound is 1, but only one
+  // row can have it: the other must move to column 1, raising b* to 5.
+  support::Matrix cost(2, 3);
+  const double values[2][3] = {{1.0, 5.0, 9.0}, {1.0, 6.0, 9.0}};
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) cost.at(r, c) = values[r][c];
+  }
+  const BottleneckResult result = solve_bottleneck_assignment(cost);
+  EXPECT_EQ(result.bottleneck_cost, 5.0);
+  EXPECT_EQ(result.row_to_col[0], 1u);
+  EXPECT_EQ(result.row_to_col[1], 0u);
+}
+
+TEST(Bottleneck, RejectsNonFiniteCosts) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    support::Matrix cost(3, 4, 1.0);
+    cost.at(2, 3) = bad;
+    EXPECT_THROW(solve_bottleneck_assignment(cost), std::invalid_argument) << bad;
+  }
+}
+
+/// Solves `cost` and checks the bottleneck against exhaustive search and the
+/// returned assignment against the bottleneck.
+void expect_matches_brute_force(const support::Matrix& cost) {
+  const BottleneckResult result = solve_bottleneck_assignment(cost);
+  EXPECT_DOUBLE_EQ(result.bottleneck_cost, brute_force_bottleneck(cost));
+  // The returned assignment actually achieves the bottleneck.
+  double worst = 0.0;
+  std::vector<bool> used(cost.cols(), false);
+  for (std::size_t r = 0; r < cost.rows(); ++r) {
+    const std::size_t c = result.row_to_col[r];
+    EXPECT_FALSE(used[c]);
+    used[c] = true;
+    worst = std::max(worst, cost.at(r, c));
+  }
+  EXPECT_DOUBLE_EQ(worst, result.bottleneck_cost);
+}
+
 class BottleneckRandomTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::uint64_t>> {};
 
@@ -124,18 +165,7 @@ TEST_P(BottleneckRandomTest, MatchesBruteForce) {
       cost.at(r, c) = std::floor(rng.uniform(0.0, 30.0));
     }
   }
-  const BottleneckResult result = solve_bottleneck_assignment(cost);
-  EXPECT_DOUBLE_EQ(result.bottleneck_cost, brute_force_bottleneck(cost));
-  // The returned assignment actually achieves the bottleneck.
-  double worst = 0.0;
-  std::vector<bool> used(cols, false);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t c = result.row_to_col[r];
-    EXPECT_FALSE(used[c]);
-    used[c] = true;
-    worst = std::max(worst, cost.at(r, c));
-  }
-  EXPECT_DOUBLE_EQ(worst, result.bottleneck_cost);
+  expect_matches_brute_force(cost);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -143,6 +173,29 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(2, 3, 4, 5),
                        ::testing::Values<std::size_t>(5, 6, 7),
                        ::testing::Values<std::uint64_t>(1, 2, 3)));
+
+/// (rows, extra columns, seed) with costs in {0, 1, 2}: ties everywhere, and
+/// extra = 0 gives the square shapes where the column bound applies.
+class BottleneckTieHeavyTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::uint64_t>> {};
+
+TEST_P(BottleneckTieHeavyTest, MatchesBruteForce) {
+  const auto& [rows, extra, seed] = GetParam();
+  support::Rng rng(seed);
+  support::Matrix cost(rows, rows + extra);
+  for (std::size_t r = 0; r < cost.rows(); ++r) {
+    for (std::size_t c = 0; c < cost.cols(); ++c) {
+      cost.at(r, c) = std::floor(rng.uniform(0.0, 3.0));
+    }
+  }
+  expect_matches_brute_force(cost);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BottleneckTieHeavyTest,
+    ::testing::Combine(::testing::Values<std::size_t>(2, 3, 4, 5, 6),
+                       ::testing::Values<std::size_t>(0, 1, 2),
+                       ::testing::Values<std::uint64_t>(1, 2, 3, 4, 5, 6)));
 
 }  // namespace
 }  // namespace mf::exact
