@@ -24,9 +24,27 @@ struct Searcher {
   // Assignment order: the shared backward traversal.
   const std::vector<TaskIndex>& order;
 
-  // Per-task minima over machines (optimistic completion ingredients).
-  std::vector<double> min_attempts;  // min_u 1/(1-f_{i,u})
-  std::vector<double> min_time;      // min_u w_{i,u}
+  /// One position of the assignment order, laid out for lower_bound's walk:
+  /// the task's successor, where that successor sits in the order, and the
+  /// task's optimistic completion ingredients (minima over machines).
+  struct WalkStep {
+    TaskIndex succ;        ///< kNoTask for a sink
+    std::size_t succ_pos;  ///< position of succ in `order` (before this step's)
+    double min_attempts;   ///< min_u 1/(1-f_{i,u})
+    double min_time;       ///< min_u w_{i,u}
+  };
+  std::vector<WalkStep> walk;
+
+  /// A machine the task at some depth may go to, with the load it would
+  /// leave there.
+  struct Candidate {
+    MachineIndex machine;
+    double resulting_load;
+  };
+  /// One slice of machine_count() candidates per depth: depth d lists its
+  /// candidates in [d*m, (d+1)*m), and the children's recursion only writes
+  /// deeper slices, so a node's list survives the search below it.
+  std::vector<Candidate> candidate_scratch;
 
   // Mutable search state.
   std::vector<MachineIndex> assignment;
@@ -42,18 +60,19 @@ struct Searcher {
   double incumbent = std::numeric_limits<double>::infinity();
   std::vector<MachineIndex> incumbent_assignment;
   bool budget_exhausted = false;
-  /// Scratch for lower_bound, sized once: every entry read is written
-  /// earlier in the same call (successors precede predecessors in the
-  /// backward order), so stale values are never observed and the search
-  /// allocates nothing per node.
+  /// Scratch for lower_bound, by position in `order`, sized once: every
+  /// entry read is written earlier in the same call (successors precede
+  /// predecessors in the backward order). The candidate lists live in
+  /// candidate_scratch, also sized once, so the search allocates nothing
+  /// per node.
   std::vector<double> opt_x_scratch;
 
   Searcher(const core::Problem& p, const BnBOptions& opts)
       : problem(p),
         options(opts),
         order(p.app.backward_order()),
-        min_attempts(p.task_count()),
-        min_time(p.task_count()),
+        walk(p.task_count()),
+        candidate_scratch(p.task_count() * p.machine_count()),
         assignment(p.task_count(), core::kUnassigned),
         x(p.task_count(), 0.0),
         loads(p.machine_count(), 0.0),
@@ -62,7 +81,10 @@ struct Searcher {
         types_to_go(p.type_count()),
         type_machine_count(p.type_count(), 0),
         opt_x_scratch(p.task_count(), 0.0) {
-    for (TaskIndex i = 0; i < p.task_count(); ++i) {
+    std::vector<std::size_t> position(p.task_count());
+    for (std::size_t d = 0; d < order.size(); ++d) position[order[d]] = d;
+    for (std::size_t d = 0; d < order.size(); ++d) {
+      const TaskIndex i = order[d];
       double best_f = std::numeric_limits<double>::infinity();
       double best_w = std::numeric_limits<double>::infinity();
       // Row reductions over the cached F table and the w row (span idiom):
@@ -73,14 +95,9 @@ struct Searcher {
         best_f = std::min(best_f, attempts_row[u]);
         best_w = std::min(best_w, time_row[u]);
       }
-      min_attempts[i] = best_f;
-      min_time[i] = best_w;
+      const TaskIndex succ = p.app.successor(i);
+      walk[d] = {succ, succ == core::kNoTask ? 0 : position[succ], best_f, best_w};
     }
-  }
-
-  [[nodiscard]] double downstream_products(TaskIndex i) const {
-    const TaskIndex succ = problem.app.successor(i);
-    return succ == core::kNoTask ? 1.0 : x[succ];
   }
 
   [[nodiscard]] bool allowed(TypeIndex t, MachineIndex u) const {
@@ -95,20 +112,22 @@ struct Searcher {
   [[nodiscard]] double lower_bound(std::size_t depth) {
     double bound = *std::max_element(loads.begin(), loads.end());
 
-    // Optimistic x for remaining tasks: successors in backward order are
-    // either assigned (exact x) or computed earlier in this very loop.
+    // Optimistic x for remaining tasks. Positions below `depth` are exactly
+    // the assigned tasks, so a successor at or after `depth` is unassigned
+    // and its optimistic x was computed earlier in this very loop (it
+    // precedes its predecessors in the backward order); one before `depth`
+    // has its exact x.
     double optimistic_work = 0.0;
     double best_single = 0.0;
-    std::vector<double>& opt_x = opt_x_scratch;
-    for (std::size_t d = depth; d < order.size(); ++d) {
-      const TaskIndex i = order[d];
-      const TaskIndex succ = problem.app.successor(i);
+    double* const opt_x = opt_x_scratch.data();
+    for (std::size_t d = depth; d < walk.size(); ++d) {
+      const WalkStep& step = walk[d];
       double downstream = 1.0;
-      if (succ != core::kNoTask) {
-        downstream = assignment[succ] == core::kUnassigned ? opt_x[succ] : x[succ];
+      if (step.succ != core::kNoTask) {
+        downstream = step.succ_pos >= depth ? opt_x[step.succ_pos] : x[step.succ];
       }
-      opt_x[i] = downstream * min_attempts[i];
-      const double increment = opt_x[i] * min_time[i];
+      opt_x[d] = downstream * step.min_attempts;
+      const double increment = opt_x[d] * step.min_time;
       optimistic_work += increment;
       best_single = std::max(best_single, increment);
     }
@@ -138,21 +157,20 @@ struct Searcher {
 
     const TaskIndex i = order[depth];
     const TypeIndex t = problem.app.type_of(i);
-    const double x_base = downstream_products(i);
+    const TaskIndex succ = walk[depth].succ;
+    const double x_base = succ == core::kNoTask ? 1.0 : x[succ];
     // Hot row views for this task: w, f, and the cached F = 1/(1-f).
     const std::span<const double> time_row = problem.platform.time_row(i);
     const std::span<const double> failure_row = problem.platform.failure_row(i);
     const std::span<const double> attempts_row = problem.platform.attempts_row(i);
 
     // Candidate machines sorted by resulting load: good incumbents early.
-    struct Candidate {
-      MachineIndex machine;
-      double resulting_load;
-    };
-    std::vector<Candidate> candidates;
-    candidates.reserve(problem.machine_count());
+    // The list lives in this depth's slice of candidate_scratch.
+    const std::size_t m = problem.machine_count();
+    Candidate* const candidates = candidate_scratch.data() + depth * m;
+    std::size_t count = 0;
     bool considered_free = false;
-    for (MachineIndex u = 0; u < problem.machine_count(); ++u) {
+    for (MachineIndex u = 0; u < m; ++u) {
       if (!allowed(t, u)) continue;
       // Free machines with identical (w, f) columns for type t are
       // interchangeable; trying one representative per load profile would
@@ -162,10 +180,10 @@ struct Searcher {
       if (machine_type[u] == core::kNoTask && loads[u] == 0.0) {
         bool duplicate = false;
         if (considered_free) {
-          for (const Candidate& c : candidates) {
-            if (machine_type[c.machine] == core::kNoTask && loads[c.machine] == 0.0 &&
-                time_row[c.machine] == time_row[u] &&
-                failure_row[c.machine] == failure_row[u]) {
+          for (std::size_t k = 0; k < count; ++k) {
+            const MachineIndex v = candidates[k].machine;
+            if (machine_type[v] == core::kNoTask && loads[v] == 0.0 &&
+                time_row[v] == time_row[u] && failure_row[v] == failure_row[u]) {
               duplicate = true;
               break;
             }
@@ -175,14 +193,19 @@ struct Searcher {
         if (duplicate) continue;
       }
       const double xi = x_base * attempts_row[u];
-      candidates.push_back({u, loads[u] + xi * time_row[u]});
+      const Candidate candidate{u, loads[u] + xi * time_row[u]};
+      // Insertion sort on strict `<`: an equal load stays behind the ones
+      // listed before it, so the order is std::stable_sort's, without the
+      // temporary buffer stable_sort allocates on every call.
+      std::size_t slot = count++;
+      for (; slot > 0 && candidate.resulting_load < candidates[slot - 1].resulting_load; --slot) {
+        candidates[slot] = candidates[slot - 1];
+      }
+      candidates[slot] = candidate;
     }
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return a.resulting_load < b.resulting_load;
-                     });
 
-    for (const Candidate& candidate : candidates) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const Candidate& candidate = candidates[k];
       const MachineIndex u = candidate.machine;
       if (candidate.resulting_load >= incumbent) continue;  // dominated branch
 

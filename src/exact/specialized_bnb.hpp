@@ -15,6 +15,11 @@
 // A node budget mirrors the paper's observation that the exact approach
 // stops being usable past ~15 tasks: when the budget is exhausted the best
 // incumbent is returned with proven_optimal = false.
+//
+// The search is deterministic: the same problem and options visit the same
+// nodes in the same order, so `nodes`, the mapping and the period's bits
+// are reproducible. tests/test_bnb_golden.cpp pins all three, so a change
+// that flips a single prune anywhere in the tree fails there.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +40,7 @@ struct BnBResult {
   std::optional<core::Mapping> mapping;  ///< best mapping found (nullopt if infeasible)
   double period = 0.0;
   bool proven_optimal = false;  ///< search space exhausted within budget
-  std::uint64_t nodes = 0;      ///< nodes expanded
+  std::uint64_t nodes = 0;      ///< nodes expanded (deterministic, see above)
 };
 
 /// Minimum-period *specialized* mapping. Requires p <= m for feasibility

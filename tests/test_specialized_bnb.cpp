@@ -72,6 +72,7 @@ struct BnBCase {
   std::size_t tasks;
   std::size_t machines;
   std::size_t types;
+  double join_probability = 0.0;  ///< > 0 draws an in-tree instead of a chain
 };
 
 class BnBBruteForceTest
@@ -83,7 +84,10 @@ TEST_P(BnBBruteForceTest, MatchesExhaustiveEnumeration) {
   scenario.tasks = dims.tasks;
   scenario.machines = dims.machines;
   scenario.types = dims.types;
-  const Problem problem = exp::generate(scenario, seed);
+  const Problem problem = dims.join_probability > 0.0
+                              ? exp::generate_in_tree(scenario, dims.join_probability, seed)
+                              : exp::generate(scenario, seed);
+  ASSERT_EQ(problem.app.is_linear_chain(), dims.join_probability == 0.0);
 
   const BnBResult bnb = solve_specialized_optimal(problem);
   const BruteForceResult reference = brute_force_optimal(problem, MappingRule::kSpecialized);
@@ -100,6 +104,15 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(BnBCase{4, 3, 2}, BnBCase{5, 3, 3},
                                          BnBCase{6, 4, 2}, BnBCase{7, 3, 2},
                                          BnBCase{6, 5, 4}),
+                       ::testing::Values<std::uint64_t>(1, 2, 3, 4, 5)));
+
+// In-trees with joins: a task with several predecessors is the successor the
+// bound's walk meets more than once, both before and after the search has
+// assigned it.
+INSTANTIATE_TEST_SUITE_P(
+    SmallInTrees, BnBBruteForceTest,
+    ::testing::Combine(::testing::Values(BnBCase{6, 3, 2, 0.5}, BnBCase{6, 4, 3, 0.5},
+                                         BnBCase{7, 4, 2, 0.5}, BnBCase{7, 5, 3, 0.5}),
                        ::testing::Values<std::uint64_t>(1, 2, 3, 4, 5)));
 
 class BnBDominanceTest : public ::testing::TestWithParam<std::uint64_t> {};
