@@ -22,19 +22,6 @@ SpecializationTracker::SpecializationTracker(const core::Application& app,
              "specialized mapping impossible: more task types than machines");
 }
 
-bool SpecializationTracker::allowed(TypeIndex t, MachineIndex u) const {
-  MF_REQUIRE(u < machine_type_.size(), "machine index out of range");
-  MF_REQUIRE(t < type_machines_.size(), "type index out of range");
-  const TypeIndex current = machine_type_[u];
-  if (current == t) return true;
-  if (current != kNoTask) return false;  // dedicated to a different type
-  // u is free. A type claiming its *first* machine may always take it; a
-  // type that already has machines must leave enough free machines for the
-  // types that have none yet (Algorithm 1's nbFreeMachines > nbTypesToGo).
-  if (type_machines_[t].empty()) return true;
-  return free_machines_ > types_to_go_;
-}
-
 void SpecializationTracker::commit(TypeIndex t, MachineIndex u) {
   MF_REQUIRE(allowed(t, u), "commit violates specialization feasibility");
   if (machine_type_[u] == kNoTask) {

@@ -11,6 +11,7 @@
 #include "core/mapping.hpp"
 #include "core/platform.hpp"
 #include "core/types.hpp"
+#include "support/check.hpp"
 
 namespace mf::heuristics {
 
@@ -27,7 +28,19 @@ class SpecializationTracker {
   /// True if task type `t` may be placed on machine `u` right now:
   /// u is dedicated to t, or u is free and taking it does not starve the
   /// types that still need their first machine.
-  [[nodiscard]] bool allowed(core::TypeIndex t, core::MachineIndex u) const;
+  /// Defined inline: every greedy scan asks it once per candidate machine.
+  [[nodiscard]] bool allowed(core::TypeIndex t, core::MachineIndex u) const {
+    MF_REQUIRE(u < machine_type_.size(), "machine index out of range");
+    MF_REQUIRE(t < type_machines_.size(), "type index out of range");
+    const core::TypeIndex current = machine_type_[u];
+    if (current == t) return true;
+    if (current != core::kNoTask) return false;  // dedicated to a different type
+    // u is free. A type claiming its *first* machine may always take it; a
+    // type that already has machines must leave enough free machines for the
+    // types that have none yet (Algorithm 1's nbFreeMachines > nbTypesToGo).
+    if (type_machines_[t].empty()) return true;
+    return free_machines_ > types_to_go_;
+  }
 
   /// Records that a task of type `t` was placed on `u`. `allowed(t, u)`
   /// must hold.

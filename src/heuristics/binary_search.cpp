@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/evaluation.hpp"
@@ -15,9 +17,34 @@ namespace mf::heuristics {
 using core::MachineIndex;
 using core::TaskIndex;
 
-std::optional<core::Mapping> assign_within_period(const core::Problem& problem,
-                                                  const MachineSelector& selector,
-                                                  double period_bound) {
+namespace {
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+/// Bounds [lo, hi) over which a greedy pass's outcome is fixed; empty by
+/// default.
+struct BoundInterval {
+  double lo = kInfinity;
+  double hi = -kInfinity;
+
+  /// False for a NaN bound or edge, so a NaN never widens what is reused.
+  [[nodiscard]] bool contains(double bound) const { return bound >= lo && bound < hi; }
+};
+
+/// One greedy pass: the mapping when every task fits, and the interval of
+/// bounds for which every `load > bound` comparison the pass made comes out
+/// the same. `lo` is the largest load that fit and `hi` the smallest load
+/// rejected. Which machines a task may take depends only on earlier
+/// placements, so any bound in the interval makes the same placements, the
+/// same loads and the same outcome.
+struct GreedyPass {
+  std::optional<core::Mapping> mapping;
+  BoundInterval decided{-kInfinity, kInfinity};  ///< narrowed by each comparison
+};
+
+GreedyPass greedy_pass(const core::Problem& problem, const MachineSelector& selector,
+                       double period_bound) {
+  GreedyPass pass;
   AssignmentState state(problem);
   const SpecializationTracker& tracker = state.tracker();
   const std::span<const double> loads = state.loads();
@@ -33,40 +60,79 @@ std::optional<core::Mapping> assign_within_period(const core::Problem& problem,
       if (!tracker.allowed(type, u)) continue;
       // AssignmentState::load_if(i, u) with the per-task reads hoisted; the
       // operand order is the same, so the doubles are bit-identical.
-      if (loads[u] + x_base * attempts[u] * times[u] > period_bound) continue;
+      const double load = loads[u] + x_base * attempts[u] * times[u];
+      if (load > period_bound) {
+        pass.decided.hi = std::min(pass.decided.hi, load);
+        continue;
+      }
+      // A NaN load fits every bound: `>` is false, so it narrows nothing.
+      if (load > pass.decided.lo) pass.decided.lo = load;
       state.assign(i, u);
       placed = true;
       break;
     }
-    if (!placed) return std::nullopt;
+    if (!placed) return pass;
   }
   MF_CHECK(state.all_assigned(), "assignment pass incomplete");
-  return state.mapping();
+  pass.mapping = state.mapping();
+  return pass;
+}
+
+}  // namespace
+
+std::optional<core::Mapping> assign_within_period(const core::Problem& problem,
+                                                  const MachineSelector& selector,
+                                                  double period_bound) {
+  return greedy_pass(problem, selector, period_bound).mapping;
 }
 
 std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem,
-                                                    MachineSelector& selector) {
+                                                    MachineSelector& selector,
+                                                    BisectionCounts* counts) {
+  BisectionCounts unused;
+  BisectionCounts& tally = counts != nullptr ? *counts : unused;
+  tally = {};
   if (problem.type_count() > problem.machine_count()) return std::nullopt;
   selector.prepare(problem);
 
   // Integer millisecond bounds, exactly as Algorithms 2-3.
   std::int64_t lo = 0;
   auto hi = static_cast<std::int64_t>(std::ceil(core::period_upper_bound(problem)));
-  std::optional<core::Mapping> best =
-      assign_within_period(problem, selector, static_cast<double>(hi));
-  if (!best.has_value()) return std::nullopt;  // defensive; UB is always feasible
+  GreedyPass fit = greedy_pass(problem, selector, static_cast<double>(hi));
+  ++tally.passes;
+  if (!fit.mapping.has_value()) return std::nullopt;  // defensive; UB is always feasible
 
+  // `fit` is the last pass run that succeeded, the one whose mapping is
+  // kept: a midpoint inside its interval yields that same mapping. `failed`
+  // is the interval of the last pass run that failed: a midpoint inside it
+  // fails too. Older passes cannot decide anything more: hi only falls and
+  // lo only rises, and a pass was run only because its bound lay outside
+  // the intervals before it, so every later midpoint lies outside them too.
+  BoundInterval failed;
   while (hi - lo > 1) {
     const std::int64_t mid = lo + (hi - lo) / 2;
-    auto attempt = assign_within_period(problem, selector, static_cast<double>(mid));
-    if (attempt.has_value()) {
+    const auto bound = static_cast<double>(mid);
+    if (fit.decided.contains(bound)) {
       hi = mid;
-      best = std::move(attempt);
+      ++tally.skipped;
+      continue;
+    }
+    if (failed.contains(bound)) {
+      lo = mid;
+      ++tally.skipped;
+      continue;
+    }
+    GreedyPass attempt = greedy_pass(problem, selector, bound);
+    ++tally.passes;
+    if (attempt.mapping.has_value()) {
+      hi = mid;
+      fit = std::move(attempt);
     } else {
       lo = mid;
+      failed = attempt.decided;
     }
   }
-  return best;
+  return std::move(fit.mapping);
 }
 
 void RankSelector::prepare(const core::Problem& problem) {
@@ -98,37 +164,49 @@ void RankSelector::prepare(const core::Problem& problem) {
   // Dense rank of each class in each machine's ascending-w column, matching
   // the paper's "rank of T_i in the ordered set" (sets collapse ties). The
   // representatives hold exactly the distinct w values of all tasks, so
-  // ranking them alone gives every task its rank over all tasks.
+  // ranking them alone gives every task its rank over all tasks. Each
+  // column is gathered once into contiguous (w, class) pairs and sorted
+  // there; tied w share a rank whatever order the sort leaves them in.
   std::vector<std::size_t> ranks(k * m);
-  std::vector<std::size_t> by_time(k);
+  std::vector<std::pair<double, std::size_t>> column(k);
   for (MachineIndex u = 0; u < m; ++u) {
-    std::iota(by_time.begin(), by_time.end(), std::size_t{0});
-    std::sort(by_time.begin(), by_time.end(), [&](std::size_t a, std::size_t b) {
-      return platform.time(representatives[a], u) < platform.time(representatives[b], u);
-    });
+    for (std::size_t c = 0; c < k; ++c) column[c] = {platform.time_row(representatives[c])[u], c};
+    std::sort(column.begin(), column.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     std::size_t rank = 0;
     for (std::size_t r = 0; r < k; ++r) {
-      if (r > 0 && platform.time(representatives[by_time[r]], u) >
-                       platform.time(representatives[by_time[r - 1]], u)) {
-        ++rank;
-      }
-      ranks[by_time[r] * m + u] = rank;
+      if (r > 0 && column[r].first > column[r - 1].first) ++rank;
+      ranks[column[r].second * m + u] = rank;
     }
   }
 
   // One order per class: best rank first; ties on rank go to smaller w
-  // ("machines are sorted by non-decreasing values of w"), then, by the
-  // stable sort, to the smaller index.
+  // ("machines are sorted by non-decreasing values of w"), then to the
+  // smaller index. Ranks lie in [0, k), so a counting sort places the
+  // machines by rank, in index order within a rank; each run of equal rank
+  // is then sorted by (w, index). The result is the one total order on
+  // (rank, w, index), which is a stable sort's order on (rank, w).
+  std::vector<std::size_t> rank_start(k + 1);
   orders_.resize(k * m);
   for (std::size_t c = 0; c < k; ++c) {
-    const std::span<MachineIndex> order(orders_.data() + c * m, m);
-    const std::span<const std::size_t> rank(ranks.data() + c * m, m);
+    const std::size_t* const rank = ranks.data() + c * m;
     const std::span<const double> times = platform.time_row(representatives[c]);
-    std::iota(order.begin(), order.end(), MachineIndex{0});
-    std::stable_sort(order.begin(), order.end(), [&](MachineIndex a, MachineIndex b) {
-      if (rank[a] != rank[b]) return rank[a] < rank[b];
-      return times[a] < times[b];
-    });
+    MachineIndex* const order = orders_.data() + c * m;
+    std::ranges::fill(rank_start, std::size_t{0});
+    for (MachineIndex u = 0; u < m; ++u) ++rank_start[rank[u] + 1];
+    for (std::size_t r = 0; r < k; ++r) rank_start[r + 1] += rank_start[r];
+    for (MachineIndex u = 0; u < m; ++u) order[rank_start[rank[u]]++] = u;
+    // rank_start[r] now ends rank r's run.
+    std::size_t run_begin = 0;
+    for (std::size_t r = 0; r < k; ++r) {
+      const std::size_t run_end = rank_start[r];
+      if (run_end - run_begin > 1) {
+        std::sort(order + run_begin, order + run_end, [&](MachineIndex a, MachineIndex b) {
+          return times[a] < times[b] || (times[a] == times[b] && a < b);
+        });
+      }
+      run_begin = run_end;
+    }
   }
 }
 
@@ -139,14 +217,15 @@ std::span<const MachineIndex> RankSelector::order_machines(TaskIndex task) const
 
 void HeterogeneitySelector::prepare(const core::Problem& problem) {
   const std::size_t m = problem.machine_count();
-  std::vector<double> heterogeneity(m, 0.0);
-  for (MachineIndex u = 0; u < m; ++u) {
-    support::RunningStats stats;
-    for (TaskIndex i = 0; i < problem.task_count(); ++i) {
-      stats.add(problem.platform.time(i, u));
-    }
-    heterogeneity[u] = stats.stddev();
+  // One sweep over the rows; each machine's accumulator sees its column in
+  // task order, the same add() sequence as walking the column alone.
+  std::vector<support::RunningStats> columns(m);
+  for (TaskIndex i = 0; i < problem.task_count(); ++i) {
+    const std::span<const double> times = problem.platform.time_row(i);
+    for (MachineIndex u = 0; u < m; ++u) columns[u].add(times[u]);
   }
+  std::vector<double> heterogeneity(m);
+  for (MachineIndex u = 0; u < m; ++u) heterogeneity[u] = columns[u].stddev();
   static_order_.resize(m);
   std::iota(static_order_.begin(), static_order_.end(), MachineIndex{0});
   std::stable_sort(static_order_.begin(), static_order_.end(),

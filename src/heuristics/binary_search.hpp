@@ -78,11 +78,24 @@ class HeterogeneitySelector final : public MachineSelector {
 [[nodiscard]] std::optional<core::Mapping> assign_within_period(
     const core::Problem& problem, const MachineSelector& selector, double period_bound);
 
+/// How a bisection spent its midpoints.
+struct BisectionCounts {
+  std::size_t passes = 0;   ///< greedy passes run, the upper-bound pass included
+  std::size_t skipped = 0;  ///< midpoints decided by an earlier pass's interval
+};
+
 /// Full bisection (Algorithms 2-3 outer loop). Returns the best mapping
 /// found, or std::nullopt when even the trivial upper bound fails (cannot
 /// happen for feasible inputs; kept for interface honesty).
+///
+/// Every midpoint gets the outcome a greedy pass at that bound would give,
+/// but a pass is run only when no earlier one decided it. A pass makes the
+/// same comparisons for every bound between the largest candidate load it
+/// accepted and the smallest it rejected, so a midpoint in that interval
+/// reuses its outcome; the mapping and the period are those of running
+/// every pass. `counts`, when given, receives the passes run and skipped.
 [[nodiscard]] std::optional<core::Mapping> binary_search_schedule(
-    const core::Problem& problem, MachineSelector& selector);
+    const core::Problem& problem, MachineSelector& selector, BisectionCounts* counts = nullptr);
 
 /// H2 — "potential optimization": for every machine the tasks are ranked by
 /// processing time; a task prefers machines where its rank is best (ties

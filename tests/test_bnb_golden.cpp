@@ -5,7 +5,10 @@
 // and walks a precomputed backward-order layout; it must visit the same
 // nodes in the same order with the same doubles. So every mapping must
 // match byte for byte, every period bit for bit, and every node count
-// exactly: a prune that flips anywhere in the tree moves `nodes`. The
+// exactly: a prune that flips anywhere in the tree moves `nodes`. The one
+// deliberate change since the capture: the budget is checked before a node
+// is counted, so a budget-exhausted entry reads exactly max_nodes (the
+// capture counted the node that tripped the budget, max_nodes + 1). The
 // instances cover:
 //
 //   * the first three trials of every Figure 10 and Figure 12 point, drawn
@@ -116,6 +119,7 @@ exact::BnBResult solve(const GoldenEntry& entry) {
 
 void expect_pinned(const GoldenEntry& entry, const exact::BnBResult& result) {
   EXPECT_EQ(result.nodes, entry.nodes);
+  if (!entry.proven_optimal) EXPECT_EQ(result.nodes, entry.max_nodes) << "exhausted budget";
   EXPECT_EQ(result.proven_optimal, entry.proven_optimal);
   EXPECT_EQ(result.period, entry.period);
   ASSERT_TRUE(result.mapping.has_value());

@@ -511,9 +511,17 @@ struct TestDaemon {
 struct RawConn {
   int fd = -1;
 
-  explicit RawConn(std::uint16_t port) {
+  /// `receive_buffer` > 0 fixes SO_RCVBUF before connecting, so every
+  /// window the socket advertises is sized from that buffer. Shrinking the
+  /// buffer after the handshake leaves the peer a window the buffer cannot
+  /// hold: the kernel then drops the peer's segments, and the ACKs they
+  /// carry, and both ends can sit in retransmission backoff for seconds.
+  explicit RawConn(std::uint16_t port, int receive_buffer = 0) {
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) throw std::runtime_error("raw socket() failed");
+    if (receive_buffer > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &receive_buffer, sizeof receive_buffer);
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -976,9 +984,7 @@ TEST(ServeDaemon, SlowReaderGetsEveryPipelinedResponseInOrder) {
   // gauge moves. Once it reads, every response arrives — none lost,
   // duplicated or reordered — and the gauge returns to zero.
   TestDaemon server;
-  RawConn conn(server.daemon->port());
-  const int receive_buffer = 16 << 10;  // fixed size: no receive autotuning
-  ::setsockopt(conn.fd, SOL_SOCKET, SO_RCVBUF, &receive_buffer, sizeof receive_buffer);
+  RawConn conn(server.daemon->port(), 16 << 10);  // fixed size: no receive autotuning
   timeval receive_timeout{};
   receive_timeout.tv_sec = 10;  // a stalled daemon fails the test, not hangs it
   ::setsockopt(conn.fd, SOL_SOCKET, SO_RCVTIMEO, &receive_timeout, sizeof receive_timeout);
