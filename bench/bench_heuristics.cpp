@@ -109,17 +109,18 @@ ShapeResult run_shape(const SweepSpec& spec, std::size_t point, const char* meth
     shape.m = problem.machine_count();
     shape.p = problem.type_count();
 
-    double start = now_sec();
-    for (std::size_t r = 0; r < repeat; ++r) selector.prepare(problem);
-    shape.prepare_s += now_sec() - start;
-
+    // A prepare alone, then a full solve, alternating, so a drift in host
+    // speed hits both timings alike.
     BisectionCounts counts;
-    start = now_sec();
     for (std::size_t r = 0; r < repeat; ++r) {
+      const double start = now_sec();
+      selector.prepare(problem);
+      const double prepared = now_sec();
       const auto mapping = mf::heuristics::binary_search_schedule(problem, selector, &counts);
+      shape.solve_s += now_sec() - prepared;
+      shape.prepare_s += prepared - start;
       checksum += mapping.has_value() ? mapping->machine_of(0) + 1 : 0;
     }
-    shape.solve_s += now_sec() - start;
     shape.solves += repeat;
     shape.passes += counts.passes;
     shape.skipped += counts.skipped;

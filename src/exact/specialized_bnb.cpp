@@ -140,13 +140,14 @@ struct Searcher {
 
   void search(std::size_t depth) {
     if (budget_exhausted) return;
-    // The budget is checked before counting, so an exhausted search reports
-    // exactly max_nodes: the node that trips it is never expanded.
-    if (options.max_nodes != 0 && result.nodes >= options.max_nodes) {
+    ++result.nodes;
+    if (options.max_nodes != 0 && result.nodes > options.max_nodes) {
+      // The node that trips the budget is never expanded, so it does not
+      // count: an exhausted search reports exactly max_nodes.
+      --result.nodes;
       budget_exhausted = true;
       return;
     }
-    ++result.nodes;
     if (depth == order.size()) {
       const double period = *std::max_element(loads.begin(), loads.end());
       if (period < incumbent) {

@@ -6,10 +6,9 @@
 // nodes in the same order with the same doubles. So every mapping must
 // match byte for byte, every period bit for bit, and every node count
 // exactly: a prune that flips anywhere in the tree moves `nodes`. The one
-// deliberate change since the capture: the budget is checked before a node
-// is counted, so a budget-exhausted entry reads exactly max_nodes (the
-// capture counted the node that tripped the budget, max_nodes + 1). The
-// instances cover:
+// deliberate change since the capture: the node that trips the budget is
+// never expanded and no longer counted, so a budget-exhausted entry reads
+// exactly max_nodes (the capture read max_nodes + 1). The instances cover:
 //
 //   * the first three trials of every Figure 10 and Figure 12 point, drawn
 //     at the figures' own seeds and solved at the figures' node budget;
