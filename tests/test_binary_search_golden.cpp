@@ -180,7 +180,7 @@ const std::vector<GoldenEntry>& golden_entries() {
 
 TEST(BinarySearchGolden, MappingsByteIdenticalToPerPassSortCapture) {
   const auto& entries = golden_entries();
-  ASSERT_EQ(entries.size(), 72u);
+  ASSERT_EQ(entries.size(), 90u);
   for (const GoldenEntry& entry : entries) {
     SCOPED_TRACE(std::string(entry.method) + " " + entry.instance +
                  " seed=" + std::to_string(entry.seed));
