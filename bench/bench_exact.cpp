@@ -45,9 +45,8 @@
 #include "core/simd.hpp"
 #include "exact/specialized_bnb.hpp"
 #include "exp/figures.hpp"
-#include "exp/scenario.hpp"
+#include "exp/runner.hpp"
 #include "support/cli.hpp"
-#include "support/rng.hpp"
 
 #ifndef MF_BUILD_TYPE
 #define MF_BUILD_TYPE "unknown"
@@ -105,14 +104,6 @@ double now_sec() {
       .count();
 }
 
-/// Trial `trial` of point `point`, drawn exactly as exp::run_sweep draws it.
-mf::core::Problem trial_problem(const SweepSpec& spec, std::size_t point, std::size_t trial) {
-  mf::exp::Scenario scenario = spec.base;
-  scenario.tasks = spec.values[point];
-  return mf::exp::generate(scenario,
-                           mf::support::mix_seed(spec.base_seed, (point << 20) | trial));
-}
-
 struct FigureResult {
   std::string name;
   std::size_t solves = 0;
@@ -136,7 +127,7 @@ FigureResult replay_figure(const SweepSpec& spec) {
     std::size_t round = spec.trials;
     while (round > 0) {
       for (std::size_t trial = drawn; trial < drawn + round; ++trial) {
-        const mf::core::Problem problem = trial_problem(spec, point, trial);
+        const mf::core::Problem problem = mf::exp::trial_problem(spec, point, trial);
         const double start = now_sec();
         const BnBResult result = mf::exact::solve_specialized_optimal(problem, options);
         figure.solve_s += now_sec() - start;
@@ -181,7 +172,7 @@ AllocGate run_alloc_gate() {
   const std::size_t point = spec.values.size() - 1;
   AllocGate gate;
   for (std::size_t trial = 0; trial < spec.max_trials && !gate.found; ++trial) {
-    const mf::core::Problem problem = trial_problem(spec, point, trial);
+    const mf::core::Problem problem = mf::exp::trial_problem(spec, point, trial);
     const CountedSolve large = counted_solve(problem, kGateLargeBudget);
     if (large.proven) continue;
     gate.allocs_small = counted_solve(problem, kGateSmallBudget).allocs;

@@ -6,10 +6,10 @@
 // greedy passes over integer periods. This bench replays, one solve at a
 // time on one thread:
 //
-//   * the first and the last point of Figures 5, 7 and 9, `--trials`
+//   * the first and the last point of Figures 5, 7 and 9, kTrials
 //     instances each, drawn at the figures' own seeds as exp::run_sweep
 //     draws them;
-//   * every instance solved `--repeat` times by H2 and by H3.
+//   * every instance solved kRepeat times by H2 and by H3.
 //
 // Per (figure, point, method) it reports microseconds per solve, split into
 // the selector's prepare and the bisection's passes (the solve minus a
@@ -17,11 +17,10 @@
 // the midpoints an earlier pass had already decided (skipped). Wall time
 // is reported, never gated: runner speed varies.
 //
-//   bench_heuristics [--out BENCH_heuristics.json] [--trials 10] [--repeat 20]
+//   bench_heuristics [--out BENCH_heuristics.json]
 //
 // Deliberately free of the google-benchmark dependency so CI always builds
 // and runs it (same policy as bench_exact and bench_kernels).
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,10 +31,9 @@
 
 #include "core/simd.hpp"
 #include "exp/figures.hpp"
-#include "exp/scenario.hpp"
+#include "exp/runner.hpp"
 #include "heuristics/binary_search.hpp"
 #include "support/cli.hpp"
-#include "support/rng.hpp"
 
 #ifndef MF_BUILD_TYPE
 #define MF_BUILD_TYPE "unknown"
@@ -47,29 +45,14 @@ using mf::exp::SweepSpec;
 using mf::heuristics::BisectionCounts;
 using mf::heuristics::MachineSelector;
 
+/// Instances per (figure, point), and solves per instance and method.
+constexpr std::size_t kTrials = 10;
+constexpr std::size_t kRepeat = 10;
+
 double now_sec() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Trial `trial` of point `point`, drawn exactly as exp::run_sweep draws it.
-mf::core::Problem trial_problem(const SweepSpec& spec, std::size_t point, std::size_t trial) {
-  mf::exp::Scenario scenario = spec.base;
-  const std::size_t value = spec.values[point];
-  switch (spec.variable) {
-    case mf::exp::SweepVariable::kTasks:
-      scenario.tasks = value;
-      break;
-    case mf::exp::SweepVariable::kTypes:
-      scenario.types = value;
-      break;
-    case mf::exp::SweepVariable::kMachines:
-      scenario.machines = value;
-      break;
-  }
-  return mf::exp::generate(scenario,
-                           mf::support::mix_seed(spec.base_seed, (point << 20) | trial));
 }
 
 struct ShapeResult {
@@ -97,14 +80,13 @@ struct ShapeResult {
 };
 
 ShapeResult run_shape(const SweepSpec& spec, std::size_t point, const char* method,
-                      MachineSelector& selector, std::size_t trials, std::size_t repeat,
-                      std::uint64_t& checksum) {
+                      MachineSelector& selector, std::uint64_t& checksum) {
   ShapeResult shape;
   shape.figure = spec.name;
   shape.point = point == 0 ? "first" : "last";
   shape.method = method;
-  for (std::size_t trial = 0; trial < trials; ++trial) {
-    const mf::core::Problem problem = trial_problem(spec, point, trial);
+  for (std::size_t trial = 0; trial < kTrials; ++trial) {
+    const mf::core::Problem problem = mf::exp::trial_problem(spec, point, trial);
     shape.n = problem.task_count();
     shape.m = problem.machine_count();
     shape.p = problem.type_count();
@@ -112,16 +94,16 @@ ShapeResult run_shape(const SweepSpec& spec, std::size_t point, const char* meth
     // A prepare alone, then a full solve, alternating, so a drift in host
     // speed hits both timings alike.
     BisectionCounts counts;
-    for (std::size_t r = 0; r < repeat; ++r) {
+    for (std::size_t r = 0; r < kRepeat; ++r) {
       const double start = now_sec();
       selector.prepare(problem);
       const double prepared = now_sec();
-      const auto mapping = mf::heuristics::binary_search_schedule(problem, selector, &counts);
+      const auto mapping = mf::heuristics::binary_search_schedule(problem, selector, counts);
       shape.solve_s += now_sec() - prepared;
       shape.prepare_s += prepared - start;
       checksum += mapping.has_value() ? mapping->machine_of(0) + 1 : 0;
     }
-    shape.solves += repeat;
+    shape.solves += kRepeat;
     shape.passes += counts.passes;
     shape.skipped += counts.skipped;
     ++shape.instances;
@@ -129,15 +111,14 @@ ShapeResult run_shape(const SweepSpec& spec, std::size_t point, const char* meth
   return shape;
 }
 
-void write_json(const std::string& path, std::size_t trials, std::size_t repeat,
-                const std::vector<ShapeResult>& shapes) {
+void write_json(const std::string& path, const std::vector<ShapeResult>& shapes) {
   std::ofstream out(path);
   char buffer[512];
   std::snprintf(buffer, sizeof buffer,
                 "{\n  \"bench\": \"heuristics\",\n  \"isa\": \"%s\",\n  \"build_type\": \"%s\",\n"
                 "  \"trials\": %zu,\n  \"repeat\": %zu,\n  \"shapes\": [\n",
-                mf::core::simd::isa_name(mf::core::simd::active().isa), MF_BUILD_TYPE, trials,
-                repeat);
+                mf::core::simd::isa_name(mf::core::simd::active().isa), MF_BUILD_TYPE, kTrials,
+                kRepeat);
   out << buffer;
   for (std::size_t k = 0; k < shapes.size(); ++k) {
     const ShapeResult& s = shapes[k];
@@ -161,22 +142,21 @@ int main(int argc, char** argv) {
   for (int a = 1; a < argc; ++a) {
     if (std::string_view(argv[a]) == "--help" || std::string_view(argv[a]) == "-h") {
       std::printf(
-          "usage: bench_heuristics [--out BENCH_heuristics.json] [--trials 10] [--repeat 20]\n"
+          "usage: bench_heuristics [--out BENCH_heuristics.json]\n"
           "\n"
-          "Solves the first and last points of Figures 5, 7 and 9 (--trials\n"
-          "instances each, every one --repeat times) with H2 and H3 serially,\n"
+          "Solves the first and last points of Figures 5, 7 and 9 (%zu\n"
+          "instances each, every one %zu times) with H2 and H3 serially,\n"
           "and reports microseconds per solve split into prepare and passes,\n"
-          "plus greedy passes run and midpoints skipped per solve.\n");
+          "plus greedy passes run and midpoints skipped per solve.\n",
+          kTrials, kRepeat);
       return 0;
     }
   }
   const mf::support::CliArgs args(argc, argv);
   const std::string out_path = args.get("out", "BENCH_heuristics.json");
-  const auto trials = static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("trials", 10)));
-  const auto repeat = static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("repeat", 20)));
 
-  std::printf("heuristic bench (H2/H3, serial, %zu trials x %zu repeats, %s, %s)\n", trials,
-              repeat, mf::core::simd::isa_name(mf::core::simd::active().isa), MF_BUILD_TYPE);
+  std::printf("heuristic bench (H2/H3, serial, %zu trials x %zu repeats, %s, %s)\n", kTrials,
+              kRepeat, mf::core::simd::isa_name(mf::core::simd::active().isa), MF_BUILD_TYPE);
   std::printf("| figure | point | method |   n |   m |   p | us/solve | prepare |  passes "
               "| passes run | skipped |\n");
   std::printf("|--------|-------|--------|-----|-----|-----|----------|---------|---------"
@@ -188,8 +168,8 @@ int main(int argc, char** argv) {
     for (const std::size_t point : {std::size_t{0}, spec.values.size() - 1}) {
       mf::heuristics::RankSelector rank;
       mf::heuristics::HeterogeneitySelector heterogeneity;
-      shapes.push_back(run_shape(spec, point, "H2", rank, trials, repeat, checksum));
-      shapes.push_back(run_shape(spec, point, "H3", heterogeneity, trials, repeat, checksum));
+      shapes.push_back(run_shape(spec, point, "H2", rank, checksum));
+      shapes.push_back(run_shape(spec, point, "H3", heterogeneity, checksum));
       for (auto s = shapes.end() - 2; s != shapes.end(); ++s) {
         std::printf("| %-6s | %-5s | %-6s | %3zu | %3zu | %3zu | %8.1f | %7.1f | %7.1f "
                     "| %10.2f | %7.2f |\n",
@@ -200,7 +180,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  write_json(out_path, trials, repeat, shapes);
+  write_json(out_path, shapes);
   std::printf("\nchecksum %llu\nwrote %s\n", static_cast<unsigned long long>(checksum),
               out_path.c_str());
   return 0;

@@ -33,8 +33,6 @@ std::size_t ShardSpec::owner(std::size_t point_index, std::size_t trial,
       static_cast<std::uint64_t>(count));
 }
 
-namespace {
-
 Scenario scenario_for(const SweepSpec& spec, std::size_t value) {
   Scenario scenario = spec.base;
   switch (spec.variable) {
@@ -50,6 +48,8 @@ Scenario scenario_for(const SweepSpec& spec, std::size_t value) {
   }
   return scenario;
 }
+
+namespace {
 
 /// The content-addressed seed hierarchy: a trial's instance seed depends
 /// only on (base_seed, point, trial), and each (trial, method) pair derives
@@ -242,6 +242,14 @@ PointResult run_point_shard(const SweepSpec& spec, std::size_t point_index, std:
 }
 
 }  // namespace
+
+core::Problem trial_problem(const SweepSpec& spec, std::size_t point_index, std::size_t trial) {
+  return *ScenarioRegistry::instance()
+              .resolve(spec.scenario_id)
+              ->generate(scenario_for(spec, spec.values.at(point_index)),
+                         trial_seed(spec, point_index, trial))
+              .effective;
+}
 
 support::Table SweepResult::to_table() const {
   std::vector<std::string> header{to_string(spec.variable)};

@@ -144,6 +144,17 @@ struct SweepResult {
   [[nodiscard]] std::map<std::string, double> mean_ratio_to(const std::string& reference) const;
 };
 
+/// The scenario of the sweep point with sweep value `value`: `spec.base`
+/// with the swept dimension set to it.
+[[nodiscard]] Scenario scenario_for(const SweepSpec& spec, std::size_t value);
+
+/// The problem the sweep's solvers see for trial `trial` at point
+/// `point_index`: the spec's scenario generator's effective problem at
+/// scenario_for() and the trial's content-addressed seed, drawn exactly as
+/// run_sweep draws it.
+[[nodiscard]] core::Problem trial_problem(const SweepSpec& spec, std::size_t point_index,
+                                          std::size_t trial);
+
 /// Runs the sweep; `pool` may be null for serial execution.
 [[nodiscard]] SweepResult run_sweep(const SweepSpec& spec, support::ThreadPool* pool = nullptr);
 

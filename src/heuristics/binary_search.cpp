@@ -87,11 +87,15 @@ std::optional<core::Mapping> assign_within_period(const core::Problem& problem,
 }
 
 std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem,
+                                                    MachineSelector& selector) {
+  BisectionCounts counts;
+  return binary_search_schedule(problem, selector, counts);
+}
+
+std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem,
                                                     MachineSelector& selector,
-                                                    BisectionCounts* counts) {
-  BisectionCounts unused;
-  BisectionCounts& tally = counts != nullptr ? *counts : unused;
-  tally = {};
+                                                    BisectionCounts& counts) {
+  counts = {};
   if (problem.type_count() > problem.machine_count()) return std::nullopt;
   selector.prepare(problem);
 
@@ -99,7 +103,7 @@ std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem
   std::int64_t lo = 0;
   auto hi = static_cast<std::int64_t>(std::ceil(core::period_upper_bound(problem)));
   GreedyPass fit = greedy_pass(problem, selector, static_cast<double>(hi));
-  ++tally.passes;
+  ++counts.passes;
   if (!fit.mapping.has_value()) return std::nullopt;  // defensive; UB is always feasible
 
   // `fit` is the last pass run that succeeded, the one whose mapping is
@@ -114,16 +118,16 @@ std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem
     const auto bound = static_cast<double>(mid);
     if (fit.decided.contains(bound)) {
       hi = mid;
-      ++tally.skipped;
+      ++counts.skipped;
       continue;
     }
     if (failed.contains(bound)) {
       lo = mid;
-      ++tally.skipped;
+      ++counts.skipped;
       continue;
     }
     GreedyPass attempt = greedy_pass(problem, selector, bound);
-    ++tally.passes;
+    ++counts.passes;
     if (attempt.mapping.has_value()) {
       hi = mid;
       fit = std::move(attempt);

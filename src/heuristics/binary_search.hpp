@@ -78,12 +78,6 @@ class HeterogeneitySelector final : public MachineSelector {
 [[nodiscard]] std::optional<core::Mapping> assign_within_period(
     const core::Problem& problem, const MachineSelector& selector, double period_bound);
 
-/// How a bisection spent its midpoints.
-struct BisectionCounts {
-  std::size_t passes = 0;   ///< greedy passes run, the upper-bound pass included
-  std::size_t skipped = 0;  ///< midpoints decided by an earlier pass's interval
-};
-
 /// Full bisection (Algorithms 2-3 outer loop). Returns the best mapping
 /// found, or std::nullopt when even the trivial upper bound fails (cannot
 /// happen for feasible inputs; kept for interface honesty).
@@ -93,9 +87,21 @@ struct BisectionCounts {
 /// same comparisons for every bound between the largest candidate load it
 /// accepted and the smallest it rejected, so a midpoint in that interval
 /// reuses its outcome; the mapping and the period are those of running
-/// every pass. `counts`, when given, receives the passes run and skipped.
-[[nodiscard]] std::optional<core::Mapping> binary_search_schedule(
-    const core::Problem& problem, MachineSelector& selector, BisectionCounts* counts = nullptr);
+/// every pass.
+[[nodiscard]] std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem,
+                                                                  MachineSelector& selector);
+
+/// How a bisection spent its midpoints.
+struct BisectionCounts {
+  std::size_t passes = 0;   ///< greedy passes run, the upper-bound pass included
+  std::size_t skipped = 0;  ///< midpoints decided by an earlier pass's interval
+};
+
+/// The same bisection, also reporting into `counts` (overwritten) the
+/// passes it ran and the midpoints it skipped.
+[[nodiscard]] std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem,
+                                                                  MachineSelector& selector,
+                                                                  BisectionCounts& counts);
 
 /// H2 — "potential optimization": for every machine the tasks are ranked by
 /// processing time; a task prefers machines where its rank is best (ties

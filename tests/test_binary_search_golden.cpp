@@ -33,6 +33,7 @@
 
 #include "core/evaluation.hpp"
 #include "exp/figures.hpp"
+#include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "heuristics/binary_search.hpp"
 #include "heuristics/heuristic.hpp"
@@ -47,19 +48,7 @@ using core::TaskIndex;
 /// One point of a figure sweep (`value` of its variable), drawn by the
 /// paper's iid generator.
 core::Problem figure_point(const exp::SweepSpec& spec, std::size_t value, std::uint64_t seed) {
-  exp::Scenario scenario = spec.base;
-  switch (spec.variable) {
-    case exp::SweepVariable::kTasks:
-      scenario.tasks = value;
-      break;
-    case exp::SweepVariable::kTypes:
-      scenario.types = value;
-      break;
-    case exp::SweepVariable::kMachines:
-      scenario.machines = value;
-      break;
-  }
-  return exp::generate(scenario, seed);
+  return exp::generate(exp::scenario_for(spec, value), seed);
 }
 
 core::Problem figure_first_point(const exp::SweepSpec& spec, std::uint64_t seed) {

@@ -31,6 +31,7 @@
 
 #include "exact/specialized_bnb.hpp"
 #include "exp/figures.hpp"
+#include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "support/matrix.hpp"
 #include "support/rng.hpp"
@@ -52,11 +53,7 @@ core::Problem golden_problem(const std::string& name) {
   unsigned trial = 0;
   if (std::sscanf(name.c_str(), "fig%u/p%u/t%u", &figure, &point, &trial) == 3) {
     const exp::SweepSpec spec = figure == 10 ? exp::figure10_spec() : exp::figure12_spec();
-    exp::Scenario scenario = spec.base;
-    scenario.tasks = spec.values.at(point);
-    const std::uint64_t seed =
-        support::mix_seed(spec.base_seed, (std::uint64_t{point} << 20) | trial);
-    return exp::generate(scenario, seed);
+    return exp::trial_problem(spec, point, trial);
   }
   unsigned join_percent = 0;
   unsigned tasks = 0;

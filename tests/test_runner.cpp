@@ -7,6 +7,7 @@
 #include "exp/figures.hpp"
 #include "exp/method.hpp"
 #include "exp/runner.hpp"
+#include "heuristics/binary_search.hpp"
 #include "solve/adapters.hpp"
 #include "solve/registry.hpp"
 
@@ -72,6 +73,24 @@ TEST(Runner, PairedDesignGivesIdenticalPeriodsForIdenticalMethods) {
   for (const PointResult& point : result.points) {
     EXPECT_DOUBLE_EQ(point.period_by_method.at("H4w").mean,
                      point.period_by_method.at("H4w-clone").mean);
+  }
+}
+
+TEST(Runner, TrialProblemIsTheInstanceTheSweepSolves) {
+  SweepSpec spec = tiny_spec();
+  spec.methods = heuristic_methods({"H2"});
+  const SweepResult result = run_sweep(spec);
+  const heuristics::H2BinarySearchRank h2;
+  for (std::size_t point = 0; point < spec.values.size(); ++point) {
+    double sum = 0.0;
+    for (std::size_t trial = 0; trial < spec.trials; ++trial) {
+      const core::Problem problem = trial_problem(spec, point, trial);
+      EXPECT_EQ(problem.task_count(), spec.values[point]);
+      support::Rng rng(0);
+      sum += core::period(problem, h2.run(problem, rng).value());
+    }
+    EXPECT_DOUBLE_EQ(result.points[point].period_by_method.at("H2").mean,
+                     sum / static_cast<double>(spec.trials));
   }
 }
 
