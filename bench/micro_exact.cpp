@@ -1,7 +1,7 @@
 // Microbenchmarks for the exact stack: Hungarian, bottleneck assignment,
-// the combinatorial branch-and-bound and the simplex-based MIP — showing
+// the one-to-one solver and the combinatorial branch-and-bound — showing
 // where each stops scaling (the paper's CPLEX gave up past ~15 tasks; the
-// same wall exists here, just further out for the combinatorial solver).
+// same wall exists here for the branch-and-bound, just further out).
 #include <benchmark/benchmark.h>
 
 #include "core/evaluation.hpp"
@@ -10,7 +10,6 @@
 #include "exact/one_to_one.hpp"
 #include "exact/specialized_bnb.hpp"
 #include "exp/scenario.hpp"
-#include "lp/specialized_mip.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -80,23 +79,6 @@ BENCHMARK(BM_SpecializedBnB)
     ->Args({10, 9})
     ->Args({14, 9})
     ->Unit(benchmark::kMillisecond);
-
-void BM_LpMip(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  mf::exp::Scenario scenario;
-  scenario.tasks = n;
-  scenario.machines = 3;
-  scenario.types = 2;
-  const mf::core::Problem problem = mf::exp::generate(scenario, 7);
-  std::uint64_t nodes = 0;
-  for (auto _ : state) {
-    const auto result = mf::lp::solve_specialized_mip(problem);
-    nodes = result.nodes;
-    benchmark::DoNotOptimize(result.period);
-  }
-  state.counters["nodes"] = static_cast<double>(nodes);
-}
-BENCHMARK(BM_LpMip)->Arg(3)->Arg(4)->Arg(5)->Arg(6)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -30,7 +30,7 @@
 // every worker at one directory indefinitely.
 //
 // `--method` accepts every registered solver id (try `--list`): the paper
-// heuristics H1..H4f, the exact solvers bnb / mip / brute, the one-to-one
+// heuristics H1..H4f, the exact solvers bnb / brute, the one-to-one
 // solver oto, and "+ls" composites such as H4w+ls. `exact` stays as an
 // alias for bnb. `--refine` is shorthand for appending "+ls".
 //

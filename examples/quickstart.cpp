@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   params.seed = seed;
   mf::support::Table table({"solver", "status", "period (ms)", "throughput (/s)", "mapping"});
   for (const std::string& id : mf::solve::SolverRegistry::instance().ids()) {
-    if (id == "mip" || id == "brute") continue;  // slow twins of bnb, skip here
+    if (id == "brute") continue;  // exhaustive twin of bnb, too slow here
     const mf::solve::SolveResult result = mf::solve::run(problem, id, params);
     if (!result.has_mapping()) {
       table.add_row({id, mf::solve::to_string(result.status), "-", "-",

@@ -7,8 +7,8 @@
 //     period(M_u) = sum_{i : a(i)=u} x_i * w_{i,u}.
 // The system period is the largest machine period (its machines are the
 // "critical machines"); throughput is its inverse. These formulas — and
-// the MAXx_i upper bound used by the MIP's big-M linearization and the
-// heuristics' binary-search ceiling — live here so every solver, heuristic
+// the MAXx_i upper bound (the big-M of the paper's Section 6.1 MIP and the
+// heuristics' binary-search ceiling) — live here so every solver, heuristic
 // and test scores mappings identically.
 #pragma once
 

@@ -7,9 +7,9 @@
 // own health. A `FailureModel` captures one member of that family as the
 // *effective* per-(task, machine) failure rates (and, for availability
 // models, effective processing times) that every solver, heuristic and
-// bound consumes — the heuristics' binary-search ceilings (MAXx_i), the MIP
-// big-M and the analytic evaluator all operate on the effective problem, so
-// none of them needs to know which model produced it. The event-driven
+// bound consumes — the heuristics' binary-search ceilings (MAXx_i), the
+// branch-and-bound and the analytic evaluator all operate on the effective
+// problem, so none of them needs to know which model produced it. The event-driven
 // simulator, by contrast, samples the model directly (per-attempt loss at a
 // given simulated time, machine up/down phases), which is what validates
 // the analytic reductions empirically.

@@ -1,8 +1,8 @@
 // Exhaustive enumeration of mappings for tiny instances.
 //
-// These are the trust anchors of the test suite: the branch-and-bound, the
-// MIP path and the polynomial special-case solvers are all validated against
-// plain enumeration. Search spaces are exponential (m^n for general), so
+// These are the trust anchors of the test suite: the branch-and-bound and
+// the polynomial special-case solvers are all validated against plain
+// enumeration. Search spaces are exponential (m^n for general), so
 // callers keep n and m single-digit.
 #pragma once
 

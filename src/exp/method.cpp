@@ -1,7 +1,6 @@
 #include "exp/method.hpp"
 
 #include "heuristics/heuristic.hpp"
-#include "solve/cache.hpp"
 #include "solve/registry.hpp"
 
 namespace mf::exp {
@@ -9,15 +8,6 @@ namespace mf::exp {
 solve::SolveResult Method::run(const core::Problem& problem, std::uint64_t seed) const {
   solve::SolveParams trial_params = params;
   trial_params.seed = seed;
-  // The cached solver is only valid while it still matches what the params
-  // would resolve to (params.local_search may have changed since method_for).
-  // Both paths go through cached_solve so params.cache is honoured exactly
-  // like the facade promises.
-  if (solver != nullptr &&
-      solver->id() == solve::effective_solver_id(solver_id, trial_params)) {
-    return solve::cached_solve(*solver, problem, trial_params,
-                               solve::ResultCache::global());
-  }
   return solve::run(problem, solver_id, trial_params);
 }
 
@@ -37,11 +27,11 @@ Method method_for(const std::string& solver_id, std::string display_name,
                   solve::SolveParams params) {
   // Resolve eagerly so a typo fails at spec-construction time, with the
   // registry's list of known ids, not in the middle of a sweep.
-  Method method;
-  method.solver = solve::SolverRegistry::instance().resolve(
+  const auto solver = solve::SolverRegistry::instance().resolve(
       solve::effective_solver_id(solver_id, params));
+  Method method;
   method.solver_id = solver_id;
-  method.name = display_name.empty() ? method.solver->id() : std::move(display_name);
+  method.name = display_name.empty() ? solver->id() : std::move(display_name);
   method.params = std::move(params);
   return method;
 }
@@ -67,14 +57,6 @@ Method method_exact_specialized(std::uint64_t max_nodes) {
   solve::SolveParams params;
   params.max_nodes = max_nodes;
   Method method = method_for("bnb", "MIP", params);
-  method.require_proof = true;
-  return method;
-}
-
-Method method_lp_mip(std::uint64_t max_nodes) {
-  solve::SolveParams params;
-  params.max_nodes = max_nodes;
-  Method method = method_for("mip", "LP-MIP", params);
   method.require_proof = true;
   return method;
 }

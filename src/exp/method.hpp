@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,11 +25,6 @@ struct Method {
   /// protocol for the exact methods ("results are reported only if ... the
   /// MIP" succeeds); mirrors its CPLEX timeouts on larger instances.
   bool require_proof = false;
-  /// Resolved once by method_for so direct `run()` calls (the per-method
-  /// benches) skip the registry lock; when null, run() resolves
-  /// `solver_id` anew. Sweeps no longer use it — the runner goes through
-  /// SolveService, which dedupes its own resolution per batch.
-  std::shared_ptr<const solve::Solver> solver;
 
   /// Full-fidelity solve through the registry; `seed` overrides
   /// `params.seed` to give each trial its own deterministic stream.
@@ -66,10 +60,5 @@ struct Method {
 /// when the node budget is exhausted without an optimality proof, mirroring
 /// the paper's CPLEX timeouts on larger instances.
 [[nodiscard]] Method method_exact_specialized(std::uint64_t max_nodes);
-
-/// The literal Section 6.1 MIP solved with the in-repo simplex
-/// branch-and-bound. Much slower than method_exact_specialized; used by the
-/// micro benches and cross-validation tests.
-[[nodiscard]] Method method_lp_mip(std::uint64_t max_nodes);
 
 }  // namespace mf::exp

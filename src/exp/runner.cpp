@@ -100,8 +100,8 @@ std::vector<TrialOutcome> evaluate_trials(const SweepSpec& spec, const Scenario&
     for (const Method& method : spec.methods) {
       solve::SolveRequest request;
       // Solvers consume the model's effective problem — the heuristics'
-      // binary-search ceilings, the MIP big-M and the evaluator all see the
-      // effective rates/times, never the raw base matrices.
+      // binary-search ceilings, the branch-and-bound and the evaluator all
+      // see the effective rates/times, never the raw base matrices.
       request.problem = instances[t].effective;
       request.solver_id = method.solver_id;
       request.params = method.params;

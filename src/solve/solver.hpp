@@ -1,9 +1,9 @@
 // The unified solver API: every mapping method in the library — the six
 // constructive heuristics, the polynomial one-to-one solvers, the
-// combinatorial branch-and-bound, the Section 6.1 MIP and the brute-force
-// trust anchor — is exposed behind one `Solver` interface, discovered
-// through the `SolverRegistry` and executed through `run()` (one request)
-// or `SolveService` (a fan of requests over a thread pool).
+// combinatorial branch-and-bound and the brute-force trust anchor — is
+// exposed behind one `Solver` interface, discovered through the
+// `SolverRegistry` and executed through `run()` (one request) or
+// `SolveService` (a fan of requests over a thread pool).
 //
 // A solve is described by a problem instance plus a `SolveParams` bag
 // (seed, node budget, local-search refinement, time limit) and yields a
@@ -55,9 +55,8 @@ struct SolveParams {
   /// Seed for the solver's private RNG stream. Only randomized solvers
   /// (H1) consume it; deterministic solvers ignore it.
   std::uint64_t seed = 1;
-  /// Node budget for tree-search solvers (bnb, mip). Unset keeps each
-  /// solver's own default; a set value bounds the search, and 0 means
-  /// unlimited search for both bnb and mip.
+  /// Node budget for the branch-and-bound (bnb). Unset keeps its own
+  /// default; a set value bounds the search, and 0 means unlimited search.
   std::optional<std::uint64_t> max_nodes;
   /// Append a local-search refinement stage (the "+ls" composite) to
   /// whatever the solver produces. Interpreted by `run()`/`SolveService`;
@@ -121,7 +120,7 @@ class Solver {
  public:
   virtual ~Solver() = default;
 
-  /// Registry id, e.g. "H2", "oto", "bnb", "mip", "brute".
+  /// Registry id, e.g. "H2", "oto", "bnb", "brute".
   [[nodiscard]] virtual std::string id() const = 0;
   /// One-line human description for `--list` style output.
   [[nodiscard]] virtual std::string description() const = 0;

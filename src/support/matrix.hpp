@@ -1,8 +1,8 @@
 // Dense row-major matrix of doubles.
 //
 // Shared by the platform model (w and f matrices indexed task x machine) and
-// the LP substrate (simplex tableau). Bounds are checked with MF_REQUIRE on
-// the public accessors; hot loops inside the simplex use `row_data` spans.
+// the assignment solvers' cost matrices. Bounds are checked with MF_REQUIRE
+// on the public accessors; hot loops use `row_data` spans.
 #pragma once
 
 #include <cstddef>

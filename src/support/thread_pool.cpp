@@ -104,7 +104,7 @@ void parallel_for(ThreadPool& pool, std::size_t count,
     return;
   }
   // Contiguous chunks, a few per worker, to amortise queue overhead while
-  // still balancing uneven per-index cost (e.g. MIP solves of varying size).
+  // still balancing uneven per-index cost (e.g. exact solves of varying size).
   const std::size_t chunks = std::min(count, workers * 4);
   const std::size_t chunk_size = (count + chunks - 1) / chunks;
   std::vector<std::future<void>> futures;

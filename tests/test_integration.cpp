@@ -5,13 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "core/evaluation.hpp"
+#include "exact/brute_force.hpp"
 #include "exact/one_to_one.hpp"
 #include "exact/specialized_bnb.hpp"
 #include "exp/figures.hpp"
 #include "exp/runner.hpp"
 #include "extensions/divisible.hpp"
 #include "heuristics/heuristic.hpp"
-#include "lp/specialized_mip.hpp"
 #include "sim/simulator.hpp"
 
 namespace mf {
@@ -39,18 +39,19 @@ TEST(Integration, FullPipelineOnOneInstance) {
   ASSERT_TRUE(exact_result.mapping.has_value());
   EXPECT_LE(exact_result.period, best_heuristic + 1e-9);
 
-  // 3. The LP MIP agrees with the combinatorial solver. The simplex-based
-  // path is only practical on small models (mirroring the paper's CPLEX
-  // limits), so the agreement check runs on a smaller sibling instance.
+  // 3. Exhaustive enumeration agrees with the combinatorial solver. It is
+  // only practical on tiny search spaces, so the agreement check runs on a
+  // smaller sibling instance.
   exp::Scenario small = scenario;
   small.tasks = 6;
   small.machines = 3;
   const core::Problem small_problem = exp::generate(small, 2025);
-  const lp::MipScheduleResult mip = lp::solve_specialized_mip(small_problem);
-  ASSERT_EQ(mip.status, lp::MipStatus::kOptimal);
+  const exact::BruteForceResult brute =
+      exact::brute_force_optimal(small_problem, core::MappingRule::kSpecialized);
+  ASSERT_TRUE(brute.mapping.has_value());
   const exact::BnBResult small_exact = exact::solve_specialized_optimal(small_problem);
   ASSERT_TRUE(small_exact.proven_optimal);
-  EXPECT_NEAR(mip.period, small_exact.period, 1e-6 * small_exact.period);
+  EXPECT_NEAR(brute.period, small_exact.period, 1e-6 * small_exact.period);
 
   // 4. The simulator confirms the optimal mapping's analytic period.
   sim::SimulationConfig config;

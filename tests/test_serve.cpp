@@ -1330,11 +1330,11 @@ TEST(ServeDaemon, UnknownSolverRefusalReleasesItsSlotAndKeepsTheConnection) {
   WireRequest wire = sample_request();
   wire.request.params.local_search = false;
   WireRequest unknown = wire;
-  unknown.request.solver_id = "no-such-solver";
-  for (int i = 0; i < 3; ++i) {
+  for (const char* id : {"no-such-solver", "mip", "no-such-solver"}) {
+    unknown.request.solver_id = id;
     const Client::Outcome refused = client.solve(unknown);
-    ASSERT_FALSE(refused.ok) << i;
-    EXPECT_EQ(refused.error_code, kErrBadRequest) << i;  // never queue-full
+    ASSERT_FALSE(refused.ok) << id;
+    EXPECT_EQ(refused.error_code, kErrBadRequest) << id;  // never queue-full
   }
   EXPECT_EQ(server.daemon->stats_snapshot().pending, 0u);
   const Client::Outcome admitted = client.solve(wire);

@@ -31,9 +31,10 @@ core::Problem medium_problem(std::uint64_t seed = 7) {
 
 TEST(Registry, ListsAllBuiltinSolvers) {
   const auto ids = SolverRegistry::instance().ids();
-  for (const char* id : {"H1", "H2", "H3", "H4", "H4w", "H4f", "oto", "bnb", "mip", "brute"}) {
+  for (const char* id : {"H1", "H2", "H3", "H4", "H4w", "H4f", "oto", "bnb", "brute"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
   }
+  EXPECT_EQ(std::find(ids.begin(), ids.end(), "mip"), ids.end());
 }
 
 TEST(Registry, UnknownSolverErrorListsAvailableIds) {
@@ -145,21 +146,15 @@ TEST(Facade, BudgetExhaustedWhenNodeBudgetTooSmall) {
   // even a one-node budget.
   EXPECT_TRUE(bnb.has_mapping());
   EXPECT_GT(bnb.diagnostics.nodes_explored, 0u);
-
-  const SolveResult mip = run(problem, "mip", {.max_nodes = 1});
-  EXPECT_EQ(mip.status, Status::kBudgetExhausted);
 }
 
 TEST(Facade, ExactSolversAgreeOnTinyInstance) {
   const core::Problem problem = test::tiny_chain_problem();
   const SolveResult bnb = run(problem, "bnb");
   const SolveResult brute = run(problem, "brute");
-  const SolveResult mip = run(problem, "mip");
   ASSERT_EQ(bnb.status, Status::kOptimal);
   ASSERT_EQ(brute.status, Status::kOptimal);
-  ASSERT_EQ(mip.status, Status::kOptimal);
   EXPECT_DOUBLE_EQ(bnb.period, brute.period);
-  EXPECT_DOUBLE_EQ(mip.period, brute.period);
   EXPECT_GT(bnb.diagnostics.nodes_explored, 0u);
 }
 
